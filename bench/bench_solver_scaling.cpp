@@ -197,7 +197,8 @@ BENCHMARK(BM_SolverKindsNonlinear)
     ->Unit(benchmark::kMillisecond);
 
 // One stateAwareSolve round's workload — a grid of per-branch residual
-// solves against the warm state — fanned across the work-stealing pool.
+// solves against the warm state — fanned across the pool, whose lanes
+// claim cells from one shared cursor.
 // The argument is the lane count (GenOptions.jobs / stcg_cli --jobs).
 // Real time should drop with lanes up to the core count; on a
 // single-core host all lanes time-slice and the curve stays flat.

@@ -10,14 +10,10 @@ int ThreadPool::hardwareThreads() {
 }
 
 ThreadPool::ThreadPool(int threads) : threads_(std::max(threads, 1)) {
-  shards_.reserve(static_cast<std::size_t>(threads_));
-  for (int i = 0; i < threads_; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  // Lane 0 is the caller of parallelFor; only lanes 1.. get threads.
+  // The caller of parallelFor is one lane; only the others get threads.
   workers_.reserve(static_cast<std::size_t>(threads_ - 1));
   for (int lane = 1; lane < threads_; ++lane) {
-    workers_.emplace_back([this, lane] { workerLoop(lane); });
+    workers_.emplace_back([this] { workerLoop(); });
   }
 }
 
@@ -30,127 +26,75 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::recordException(std::size_t index) {
-  std::lock_guard<std::mutex> lock(errM_);
-  if (firstError_ == nullptr || index < errIndex_) {
-    firstError_ = std::current_exception();
-    errIndex_ = index;
-  }
-}
-
-void ThreadPool::runLane(int lane) {
-  const auto settle = [this](std::size_t count) {
+void ThreadPool::runIndex(const Body& body, std::size_t i) {
+  try {
+    body(i);
+  } catch (...) {
     std::lock_guard<std::mutex> lock(m_);
-    pending_ -= count;
-    if (pending_ == 0) doneCv_.notify_all();
-  };
-
-  Shard& own = *shards_[static_cast<std::size_t>(lane)];
-  for (;;) {
-    // Drain the owned slice. Claiming a task under the shard mutex
-    // happens-after the caller dealt the slice, which happens-after it
-    // published body_ — so the loaded pointer is always current.
-    for (;;) {
-      std::size_t i;
-      {
-        std::lock_guard<std::mutex> lock(own.m);
-        if (own.next >= own.end) break;
-        i = own.next++;
-      }
-      const auto* body = body_.load(std::memory_order_acquire);
-      try {
-        (*body)(i);
-      } catch (...) {
-        recordException(i);
-      }
-      settle(1);
-    }
-    // Steal the back half of the largest remaining slice.
-    int victim = -1;
-    std::size_t victimSize = 0;
-    for (int v = 0; v < threads_; ++v) {
-      if (v == lane) continue;
-      Shard& s = *shards_[static_cast<std::size_t>(v)];
-      std::lock_guard<std::mutex> lock(s.m);
-      const std::size_t size = s.end - s.next;
-      if (size > victimSize) {
-        victimSize = size;
-        victim = v;
-      }
-    }
-    if (victim < 0) return;  // nothing left anywhere
-    Shard& s = *shards_[static_cast<std::size_t>(victim)];
-    std::size_t begin = 0, end = 0;
-    {
-      std::lock_guard<std::mutex> lock(s.m);
-      const std::size_t size = s.end - s.next;
-      if (size == 0) continue;  // raced with the victim; rescan
-      const std::size_t take = std::max<std::size_t>(size / 2, 1);
-      end = s.end;
-      begin = s.end - take;
-      s.end = begin;
-    }
-    {
-      std::lock_guard<std::mutex> lock(own.m);
-      own.next = begin;
-      own.end = end;
+    if (firstError_ == nullptr || i < errIndex_) {
+      firstError_ = std::current_exception();
+      errIndex_ = i;
     }
   }
 }
 
-void ThreadPool::workerLoop(int lane) {
+void ThreadPool::runLane(const Body& body, std::size_t n) {
+  for (std::size_t i = next_.fetch_add(1); i < n; i = next_.fetch_add(1)) {
+    runIndex(body, i);
+  }
+}
+
+void ThreadPool::workerLoop() {
   std::uint64_t seenEpoch = 0;
   for (;;) {
+    const Body* body = nullptr;
+    std::size_t n = 0;
     {
       std::unique_lock<std::mutex> lock(m_);
-      cv_.wait(lock, [&] { return stop_ || epoch_ != seenEpoch; });
+      cv_.wait(lock, [&] {
+        return stop_ || (body_ != nullptr && epoch_ != seenEpoch);
+      });
       if (stop_) return;
       seenEpoch = epoch_;
+      body = body_;
+      n = n_;
+      ++busy_;
     }
-    runLane(lane);
+    runLane(*body, n);
+    {
+      std::lock_guard<std::mutex> lock(m_);
+      if (--busy_ == 0) doneCv_.notify_one();
+    }
   }
 }
 
-void ThreadPool::parallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& body) {
+void ThreadPool::parallelFor(std::size_t n, const Body& body) {
   if (n == 0) return;
-  if (threads_ <= 1) {
-    // Sequential path: same settle-then-rethrow contract, no threads.
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        body(i);
-      } catch (...) {
-        recordException(i);
-      }
-    }
+  if (workers_.empty()) {
+    // One lane runs inline and in order without the cursor, whose atomic
+    // read-modify-write per index costs more than a skipped grid cell.
+    for (std::size_t i = 0; i < n; ++i) runIndex(body, i);
   } else {
-    // Publish the body and the task count BEFORE dealing work: a straggler
-    // lane from the previous batch may legitimately claim freshly dealt
-    // tasks while scanning for steals, and must find a valid body.
     {
+      // No worker is inside a batch here (the previous call's barrier saw
+      // busy_ == 0), so resetting the cursor races with nothing.
       std::lock_guard<std::mutex> lock(m_);
-      pending_ = n;
+      next_.store(0);
+      body_ = &body;
+      n_ = n;
       ++epoch_;
     }
-    body_.store(&body, std::memory_order_release);
-    // Deal contiguous chunks; lane l gets [l*n/T, (l+1)*n/T).
-    const auto t = static_cast<std::size_t>(threads_);
-    for (std::size_t l = 0; l < t; ++l) {
-      Shard& s = *shards_[l];
-      std::lock_guard<std::mutex> lock(s.m);
-      s.next = l * n / t;
-      s.end = (l + 1) * n / t;
-    }
     cv_.notify_all();
-    runLane(0);
-    {
-      std::unique_lock<std::mutex> lock(m_);
-      doneCv_.wait(lock, [&] { return pending_ == 0; });
-    }
+    runLane(body, n);
+    // Close the batch so a worker that has not woken yet skips it, then
+    // wait for the ones that joined to leave before `body` goes away.
+    std::unique_lock<std::mutex> lock(m_);
+    body_ = nullptr;
+    doneCv_.wait(lock, [&] { return busy_ == 0; });
   }
   std::exception_ptr err;
   {
-    std::lock_guard<std::mutex> lock(errM_);
+    std::lock_guard<std::mutex> lock(m_);
     err = firstError_;
     firstError_ = nullptr;
     errIndex_ = 0;

@@ -1,18 +1,24 @@
-// A small work-stealing thread pool for index-space parallelism.
+// A small thread pool for index-space parallelism.
 //
 // The pool exists for the STCG solve grid: per generation round, the
-// (uncovered goal × state-tree node) tasks are independent solver queries
+// (uncovered goal × state-tree node) cells are independent solver queries
 // of wildly varying cost (a state-folded residual is nanoseconds, a hard
-// box query is the full per-query budget). parallelFor() deals the index
-// range into per-worker chunks; a worker that drains its own chunk steals
-// the back half of the largest remaining victim chunk, so one expensive
-// task never serializes the round.
+// box query is the full per-query budget). parallelFor() hands out the
+// index range through one atomic cursor: every lane, the calling thread
+// included, claims the next unclaimed index until the range is exhausted.
+// An expensive cell therefore holds up only its own lane, and cells are
+// claimed in index order, which is the order the grid's lowest-SAT commit
+// wants them (cells past a known winner are skipped, not solved).
+//
+// Each batch ends at a barrier: parallelFor returns only after every
+// worker that joined the batch has left it, so no lane is still touching
+// the cursor or the body when the next batch starts.
 //
 // Determinism contract: the pool promises only that every index in [0, n)
 // is executed exactly once (in some order) before parallelFor returns.
 // Callers that need order-independent results must make each task
 // self-contained (own RNG stream, no shared mutable state) and reduce the
-// results themselves — see stcg_generator.cpp for the canonical pattern.
+// results themselves — see Campaign::solveRound for the canonical pattern.
 //
 // Exceptions thrown by the body are captured; after all indices settle,
 // the exception from the lowest-numbered throwing index is rethrown on
@@ -26,7 +32,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -59,38 +64,29 @@ class ThreadPool {
   [[nodiscard]] static int hardwareThreads();
 
  private:
-  /// One contiguous slice of the index range, owned by one lane. `next`
-  /// and `end` are guarded by `m` (steals shrink `end`, pops advance
-  /// `next`); contention is rare because chunks start balanced.
-  struct Shard {
-    std::mutex m;
-    std::size_t next = 0;
-    std::size_t end = 0;
-  };
+  using Body = std::function<void(std::size_t)>;
 
-  void workerLoop(int lane);
-  /// Run tasks from shard `lane`, stealing when it drains; returns when
-  /// no shard has work left.
-  void runLane(int lane);
-  void recordException(std::size_t index);
+  void workerLoop();
+  /// Claim and run indices from the cursor until it passes `n`.
+  void runLane(const Body& body, std::size_t n);
+  /// Run body(i), recording its exception if it has the lowest index yet.
+  void runIndex(const Body& body, std::size_t i);
 
   const int threads_;
-  std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<std::size_t> next_{0};  // the cursor: next unclaimed index
 
-  std::mutex m_;
+  std::mutex m_;  // guards the batch and error state below
   std::condition_variable cv_;      // workers wait for a new batch
-  std::condition_variable doneCv_;  // caller waits for batch completion
-  std::uint64_t epoch_ = 0;
+  std::condition_variable doneCv_;  // caller waits for busy_ == 0
+  std::uint64_t epoch_ = 0;  // batch number; a worker joins each once
   bool stop_ = false;
-  /// Current batch body; atomic because a straggler lane from the prior
-  /// batch may claim freshly dealt tasks concurrently with publication.
-  std::atomic<const std::function<void(std::size_t)>*> body_{nullptr};
-  std::size_t pending_ = 0;  // indices not yet settled this batch
-
-  std::mutex errM_;
+  const Body* body_ = nullptr;  // open batch's body; null once it closes
+  std::size_t n_ = 0;
+  int busy_ = 0;  // workers inside the current batch
   std::size_t errIndex_ = 0;
   std::exception_ptr firstError_;
+
+  std::vector<std::thread> workers_;  // last: threads use the members above
 };
 
 }  // namespace stcg

@@ -1,6 +1,6 @@
 // Parallel generation tests: the determinism contract of the threaded
 // state-aware solve loop (same seed => byte-identical suite for any
-// --jobs value), the work-stealing pool itself, counter-based RNG
+// --jobs value), the cursor-and-barrier pool itself, counter-based RNG
 // streams, snapshot-hash dedup, and the typed errors that replaced
 // assert-only validity checks (NDEBUG safety).
 #include <gtest/gtest.h>
@@ -105,15 +105,30 @@ TEST(ThreadPool, ReusableAfterAnException) {
 }
 
 TEST(ThreadPool, SurvivesManyBatches) {
-  // Exercises batch-epoch handover: a straggler from batch k must never
-  // claim batch k+1 work with a stale task body.
-  ThreadPool pool(3);
-  for (int batch = 0; batch < 50; ++batch) {
-    std::atomic<int> count{0};
-    pool.parallelFor(17, [&](std::size_t) {
-      count.fetch_add(1, std::memory_order_relaxed);
+  // Back-to-back batches of uneven size with a slow index 0: the other
+  // lanes drain the rest of a batch early and are still on their way out
+  // of it when the caller finishes index 0 and starts the next one. Every
+  // index of every batch must run exactly once, and no batch may hang at
+  // that handover.
+  ThreadPool pool(4);
+  constexpr int kBatches = 100000;
+  constexpr std::size_t kMaxN = 23;
+  std::vector<std::atomic<int>> hits(kMaxN);
+  std::atomic<unsigned> spin{0};
+  for (int batch = 0; batch < kBatches; ++batch) {
+    const std::size_t n = 1 + static_cast<std::size_t>(batch) * 7 % kMaxN;
+    pool.parallelFor(n, [&](std::size_t i) {
+      if (i == 0) {
+        for (int k = 0; k < 200; ++k) {
+          spin.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      hits[i].fetch_add(1, std::memory_order_relaxed);
     });
-    ASSERT_EQ(count.load(), 17) << "batch " << batch;
+    for (std::size_t i = 0; i < kMaxN; ++i) {
+      ASSERT_EQ(hits[i].exchange(0), i < n ? 1 : 0)
+          << "batch " << batch << " index " << i;
+    }
   }
 }
 

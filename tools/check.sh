@@ -36,8 +36,9 @@ cmake --build "$build_dir" -j "$(nproc)" --target tape_audit
 "$build_dir/tools/tape_audit"
 
 # TSAN is a separate build: it cannot share shadow memory with ASAN, and
-# the race it exists to catch (the work-stealing pool's batch handover)
-# only shows in the threaded tests, so only those run here.
+# the races it exists to catch (the pool's batch handover) only show in
+# the threaded tests, so only those run here. The timeout turns a
+# handover deadlock into a failed stage instead of a stalled one.
 tsan_probe="$(mktemp -d)"
 echo 'int main(){return 0;}' > "$tsan_probe/t.cpp"
 if c++ -fsanitize=thread "$tsan_probe/t.cpp" -o "$tsan_probe/t" 2>/dev/null; then
@@ -48,7 +49,8 @@ if c++ -fsanitize=thread "$tsan_probe/t.cpp" -o "$tsan_probe/t" 2>/dev/null; the
     -DSTCG_SANITIZE=thread \
     ${STCG_CHECK_GENERATOR:+-G "$STCG_CHECK_GENERATOR"}
   cmake --build "$tsan_dir" -j "$(nproc)" --target stcg_tests
-  "$tsan_dir/tests/stcg_tests" --gtest_filter='ThreadPool.*:ParallelGen.*'
+  timeout 600 "$tsan_dir/tests/stcg_tests" \
+    --gtest_filter='ThreadPool.*:ParallelGen.*'
 else
   echo "== -fsanitize=thread unsupported by this toolchain; skipping TSAN =="
 fi
