@@ -47,6 +47,11 @@ std::uint64_t taskStream(int round, int goalIdx, int nodeId) {
   return splitmix64(h ^ static_cast<std::uint64_t>(nodeId));
 }
 
+/// Cells per pool lane in one chunk of the solve-round scan: enough per
+/// parallelFor to amortise its barrier, few enough that a round whose
+/// winner sits near the front of the grid solves little past it.
+constexpr std::size_t kScanCellsPerLane = 16;
+
 }  // namespace
 
 Campaign::Campaign(const compile::CompiledModel& cm, const GenOptions& opt,
@@ -162,7 +167,7 @@ void Campaign::restore(const std::string& path) {
   CampaignState fresh(cm_, cs_.tree.node(0).state);
   fresh.randomStream = CounterStream(rngRoot_.fork(kRandomStream));
   fresh.mcdcStream = CounterStream(rngRoot_.fork(kMcdcStream));
-  loadCampaignCheckpoint(path, cm_, opt_, fresh);
+  loadCampaignCheckpoint(path, cm_, opt_, goals_.size(), fresh);
   cs_ = std::move(fresh);
   lastCheckpointRound_ = cs_.round;
   watch_.reset();
@@ -175,54 +180,91 @@ void Campaign::restore(const std::string& path) {
 
 // ----- Algorithm 1: state-aware solving ------------------------------------
 //
-// Each round enumerates the grid of (uncovered goal × tree node) cells
-// not yet attempted, in the order the paper's sequential scan visits
-// them, then fans the cells across the pool. Every cell is hermetic: it
-// reads only immutable round state (compiled model, node snapshots,
-// goal expressions) and draws its solver seed from a counter-based
-// stream keyed by (round, goal, node). The coordinator then commits, in
-// grid order, exactly the prefix the sequential scan would have
-// visited: every cell before the lowest SAT cell, plus that cell.
-// Speculative results past the winner are discarded — never marked
-// attempted, never counted — so tree, tracker, stats, and trace are
-// bit-identical for any jobs value.
+// Each round scans the grid of (uncovered goal × tree node) cells not
+// yet attempted, in the order the paper's sequential scan visits them,
+// and stops at the first SAT cell. The scan is lazy: each goal's node
+// loop starts at the tree's attempted-prefix cursor for that goal, and
+// cells are emitted in grid order in chunks of kScanCellsPerLane cells
+// per pool lane. Each chunk fans across the pool; the scan stops after
+// the first chunk that holds a SAT cell or a cell the deadline kept from
+// running, so a round's cost tracks the cells solved, not the tree size.
+//
+// Every cell is hermetic: it reads only immutable round state (compiled
+// model, node snapshots, goal expressions) and draws its solver seed
+// from a counter-based stream keyed by (round, goal, node). After the
+// scan the coordinator commits, in grid order, exactly the prefix the
+// sequential scan would have visited: every cell before the lowest SAT
+// cell, plus that cell. Speculative results past the winner are
+// discarded — never marked attempted, never counted — so tree, tracker,
+// stats, and trace are bit-identical for any jobs value. Marks are not
+// committed between chunks: marking a cell also marks its (state-hash,
+// goal) pair, which could drop a later cell the grid still holds.
 std::optional<Campaign::SolveHit> Campaign::solveRound() {
   ++cs_.round;
+  const std::size_t nodeCount = opt_.solveOnAllNodes ? cs_.tree.size() : 1;
+  // Lazy grid cursor: the next goal in order_, and the current goal's
+  // next node (nodeCount once the goal is exhausted).
+  std::size_t nextGoal = 0;
+  int goalIdx = -1;
+  std::size_t nodeId = nodeCount;
   std::vector<SolveTask> tasks;
-  for (const int goalIdx : order_) {
-    const Goal& goal = goals_[static_cast<std::size_t>(goalIdx)];
-    if (goalCovered(cs_.tracker, goal)) continue;
-    const std::size_t nodeCount =
-        opt_.solveOnAllNodes ? cs_.tree.size() : 1;
-    for (std::size_t nodeId = 0; nodeId < nodeCount; ++nodeId) {
-      const int nid = static_cast<int>(nodeId);
+  const auto emit = [&](std::size_t want) {
+    while (want > 0) {
+      if (nodeId >= nodeCount) {
+        while (nextGoal < order_.size() &&
+               goalCovered(cs_.tracker,
+                           goals_[static_cast<std::size_t>(
+                               order_[nextGoal])])) {
+          ++nextGoal;
+        }
+        if (nextGoal == order_.size()) return;
+        goalIdx = order_[nextGoal++];
+        nodeId = static_cast<std::size_t>(cs_.tree.attemptedPrefix(goalIdx));
+        continue;
+      }
+      const int nid = static_cast<int>(nodeId++);
       if (cs_.tree.isAttempted(nid, goalIdx)) continue;
       tasks.push_back(SolveTask{goalIdx, nid});
+      --want;
     }
-  }
-  if (tasks.empty()) return std::nullopt;
+  };
 
-  std::vector<TaskOutcome> outcomes(tasks.size());
+  const std::size_t chunk =
+      kScanCellsPerLane * static_cast<std::size_t>(pool_->threadCount());
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<TaskOutcome> outcomes;
   // Lowest grid index that solved SAT so far; cells past it are skipped
   // (their work would be discarded by the commit rule anyway).
-  std::atomic<std::size_t> winner{tasks.size()};
-
-  pool_->parallelFor(tasks.size(), [&](std::size_t i) {
-    if (i > winner.load(std::memory_order_acquire)) return;
-    if (deadline_.expired()) return;
-    runSolveTask(tasks[i], outcomes[i]);
-    if (!outcomes[i].folded &&
-        outcomes[i].status == solver::SolveStatus::kSat) {
-      std::size_t cur = winner.load(std::memory_order_acquire);
-      while (i < cur && !winner.compare_exchange_weak(
-                            cur, i, std::memory_order_acq_rel,
-                            std::memory_order_acquire)) {
+  std::atomic<std::size_t> winner{kNone};
+  for (;;) {
+    const std::size_t begin = tasks.size();
+    emit(chunk);
+    if (tasks.size() == begin) break;
+    outcomes.resize(tasks.size());
+    pool_->parallelFor(tasks.size() - begin, [&](std::size_t k) {
+      const std::size_t i = begin + k;
+      if (i > winner.load(std::memory_order_acquire)) return;
+      if (deadline_.expired()) return;
+      runSolveTask(tasks[i], outcomes[i]);
+      if (!outcomes[i].folded &&
+          outcomes[i].status == solver::SolveStatus::kSat) {
+        std::size_t cur = winner.load(std::memory_order_acquire);
+        while (i < cur && !winner.compare_exchange_weak(
+                              cur, i, std::memory_order_acq_rel,
+                              std::memory_order_acquire)) {
+        }
       }
+    });
+    if (winner.load(std::memory_order_acquire) != kNone) break;
+    if (std::any_of(outcomes.begin() + static_cast<std::ptrdiff_t>(begin),
+                    outcomes.end(),
+                    [](const TaskOutcome& o) { return !o.ran; })) {
+      break;  // the deadline expired mid-chunk
     }
-  });
+  }
 
   const std::size_t w = winner.load(std::memory_order_acquire);
-  const std::size_t limit = w == tasks.size() ? tasks.size() : w + 1;
+  const std::size_t limit = w == kNone ? tasks.size() : w + 1;
   std::optional<SolveHit> hit;
   for (std::size_t i = 0; i < limit; ++i) {
     TaskOutcome& out = outcomes[i];

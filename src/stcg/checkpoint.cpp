@@ -272,7 +272,8 @@ void saveCampaignCheckpoint(const std::string& path,
 
 void loadCampaignCheckpoint(const std::string& path,
                             const compile::CompiledModel& cm,
-                            const GenOptions& opt, CampaignState& cs) {
+                            const GenOptions& opt, std::size_t goalCount,
+                            CampaignState& cs) {
   std::ifstream f(path, std::ios::binary);
   if (!f) failCk("cannot open '" + path + "'");
   std::ostringstream buf;
@@ -369,9 +370,10 @@ void loadCampaignCheckpoint(const std::string& path,
     attempted.reserve(static_cast<std::size_t>(na));
     for (std::uint64_t g = 0; g < na; ++g) {
       const std::int64_t goal = ckI64(is, "attempted goal id");
-      if (goal < 0 || goal > static_cast<std::int64_t>(kMaxCount)) {
+      if (goal < 0 || static_cast<std::uint64_t>(goal) >= goalCount) {
         failCk("attempted goal id " + std::to_string(goal) +
-               " out of range");
+               " out of range (campaign has " + std::to_string(goalCount) +
+               " goals)");
       }
       attempted.push_back(static_cast<int>(goal));
     }

@@ -23,6 +23,7 @@
 // `path`, so a crash mid-save leaves the previous checkpoint intact.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -56,10 +57,13 @@ void saveCampaignCheckpoint(const std::string& path,
 /// Load `path` into `cs`, which must be a freshly constructed
 /// CampaignState for the same model with its RNG streams already seeded
 /// (their seeds are verified against the file, their positions restored
-/// from it). Throws expr::EvalError on any validation failure; `cs` must
-/// be discarded by the caller if this throws.
+/// from it). `goalCount` is the campaign's goal-list size: every
+/// attempted goal id must lie below it. Throws expr::EvalError on any
+/// validation failure; `cs` must be discarded by the caller if this
+/// throws.
 void loadCampaignCheckpoint(const std::string& path,
                             const compile::CompiledModel& cm,
-                            const GenOptions& opt, CampaignState& cs);
+                            const GenOptions& opt, std::size_t goalCount,
+                            CampaignState& cs);
 
 }  // namespace stcg::gen

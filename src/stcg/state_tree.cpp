@@ -31,7 +31,30 @@ int StateTree::addChild(int parent, sim::InputVector input,
   byHash_.emplace(n.stateHash, n.id);
   nodes_[static_cast<std::size_t>(parent)].children.push_back(n.id);
   nodes_.push_back(std::move(n));
-  return nodes_.back().id;
+  // A cursor that sat at the old end moves past the new node when its
+  // state hash already carries an attempt mark for that goal.
+  const int id = nodes_.back().id;
+  for (std::size_t g = 0; g < prefix_.size(); ++g) {
+    if (prefix_[g] == id) advancePrefix(g);
+  }
+  return id;
+}
+
+void StateTree::markAttempted(int id, int goal) {
+  StateTreeNode& n = nodes_[static_cast<std::size_t>(id)];
+  n.attemptedGoals.insert(goal);
+  attemptedPairs_.insert(pairKey(n.stateHash, goal));
+  const auto g = static_cast<std::size_t>(goal);
+  if (g >= prefix_.size()) prefix_.resize(g + 1, 0);
+  advancePrefix(g);
+}
+
+void StateTree::advancePrefix(std::size_t goal) {
+  int& p = prefix_[goal];
+  while (static_cast<std::size_t>(p) < nodes_.size() &&
+         isAttempted(p, static_cast<int>(goal))) {
+    ++p;
+  }
 }
 
 int StateTree::findByState(const sim::StateSnapshot& s) const {

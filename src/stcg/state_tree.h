@@ -14,8 +14,15 @@
 // On top of the per-node SB sets, the tree keeps a global
 // (state-hash, goal) dedup set: a goal is never re-solved against a state
 // value it was already attempted on, even if that state is re-reached via
-// a different node id (e.g. after hitting the node cap). The parallel
-// solve loop enumerates its task grid against this set.
+// a different node id (e.g. after hitting the node cap). The solve
+// round's scan probes this set for every cell it visits.
+//
+// Per goal, the tree also keeps a derived attempted-prefix cursor: every
+// node id below attemptedPrefix(goal) is isAttempted for that goal, so a
+// solve round starts each goal's node scan there instead of at the root.
+// Node ids are only appended and attempt marks only grow, so the cursor
+// is monotone. It is not serialized: the checkpoint loader replays
+// addChild/markAttempted node by node, which rebuilds it exactly.
 #pragma once
 
 #include <cstdint>
@@ -85,10 +92,16 @@ class StateTree {
     return n.attemptedGoals.count(goal) > 0 ||
            attemptedPairs_.count(pairKey(n.stateHash, goal)) > 0;
   }
-  void markAttempted(int id, int goal) {
-    StateTreeNode& n = nodes_[static_cast<std::size_t>(id)];
-    n.attemptedGoals.insert(goal);
-    attemptedPairs_.insert(pairKey(n.stateHash, goal));
+  /// Record `goal` as attempted at node `id` (goal >= 0) and advance the
+  /// goal's attempted-prefix cursor.
+  void markAttempted(int id, int goal);
+
+  /// Largest k such that isAttempted(n, goal) holds for every n < k (0 for
+  /// a goal never marked). Cells at or past it may still be attempted
+  /// through the (state-hash, goal) set; callers keep probing isAttempted.
+  [[nodiscard]] int attemptedPrefix(int goal) const {
+    const auto g = static_cast<std::size_t>(goal);
+    return g < prefix_.size() ? prefix_[g] : 0;
   }
 
   /// Number of distinct (state, goal) attempts recorded (for tests and
@@ -112,9 +125,13 @@ class StateTree {
                       (static_cast<std::uint64_t>(goal) * 0x9e3779b97f4a7c15ULL));
   }
 
+  /// Move goal's cursor past every attempted node id.
+  void advancePrefix(std::size_t goal);
+
   std::vector<StateTreeNode> nodes_;
   std::unordered_multimap<std::uint64_t, int> byHash_;
   std::unordered_set<std::uint64_t> attemptedPairs_;
+  std::vector<int> prefix_;  // attemptedPrefix per goal id ever marked
 };
 
 }  // namespace stcg::gen

@@ -1,14 +1,15 @@
 // A small thread pool for index-space parallelism.
 //
-// The pool exists for the STCG solve grid: per generation round, the
-// (uncovered goal × state-tree node) cells are independent solver queries
-// of wildly varying cost (a state-folded residual is nanoseconds, a hard
-// box query is the full per-query budget). parallelFor() hands out the
-// index range through one atomic cursor: every lane, the calling thread
-// included, claims the next unclaimed index until the range is exhausted.
-// An expensive cell therefore holds up only its own lane, and cells are
-// claimed in index order, which is the order the grid's lowest-SAT commit
-// wants them (cells past a known winner are skipped, not solved).
+// The pool exists for the STCG solve grid: each chunk of a generation
+// round's (uncovered goal × state-tree node) scan holds independent
+// solver queries of wildly varying cost (a state-folded residual is
+// nanoseconds, a hard box query is the full per-query budget), and
+// runs as one parallelFor. parallelFor() hands out the index range
+// through one atomic cursor: every lane, the calling thread included,
+// claims the next unclaimed index until the range is exhausted. An
+// expensive cell therefore holds up only its own lane, and cells are
+// claimed in index order, which is the order the grid's lowest-SAT
+// commit wants them (cells past a known winner are skipped, not solved).
 //
 // Each batch ends at a barrier: parallelFor returns only after every
 // worker that joined the batch has left it, so no lane is still touching

@@ -372,9 +372,9 @@ TEST(Checkpoint, RejectsCorruptTruncatedStaleAndMissing) {
     expectRejected(p, "end with a newline");
   }
 
-  // Future format version (valid checksum, so the version check fires).
-  {
-    std::string body = "stcg-checkpoint v99\n";
+  // Append the FNV-1a checksum line a valid checkpoint ends with, so a
+  // hand-edited body gets past the checksum to the check under test.
+  const auto withChecksum = [](const std::string& body) {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (const char ch : body) {
       h ^= static_cast<unsigned char>(ch);
@@ -383,10 +383,29 @@ TEST(Checkpoint, RejectsCorruptTruncatedStaleAndMissing) {
     char buf[24];
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(h));
+    return body + "checksum " + buf + '\n';
+  };
+
+  // Future format version (valid checksum, so the version check fires).
+  {
     const std::string p = tmpPath("ck_version");
     std::ofstream(p, std::ios::binary)
-        << body << "checksum " << buf << '\n';
+        << withChecksum("stcg-checkpoint v99\n");
     expectRejected(p, "unsupported format version");
+  }
+
+  // An attempted goal id past the campaign's goal count (though far
+  // below the generic count bound) would size the tree's per-goal
+  // cursor to that id; the loader must reject it.
+  {
+    std::string body = blob.substr(0, blob.rfind("checksum "));
+    const std::size_t at = body.find("\nattempted ");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t eol = body.find('\n', at + 1);
+    body.replace(at + 1, eol - at - 1, "attempted 1 1000000");
+    const std::string p = tmpPath("ck_goal_id");
+    std::ofstream(p, std::ios::binary) << withChecksum(body);
+    expectRejected(p, "attempted goal id 1000000 out of range");
   }
 
   // Stale trajectory-relevant options (different seed).

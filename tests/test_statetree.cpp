@@ -66,6 +66,76 @@ TEST(StateTree, AttemptedGoalsPerNode) {
   EXPECT_FALSE(t.isAttempted(a, 7));  // per node, not global
 }
 
+// Brute-force definition of the attempted-prefix cursor: the largest k
+// with isAttempted(n, goal) for every n < k.
+int bruteForcePrefix(const StateTree& t, int goal) {
+  int k = 0;
+  while (static_cast<std::size_t>(k) < t.size() && t.isAttempted(k, goal)) {
+    ++k;
+  }
+  return k;
+}
+
+TEST(StateTree, AttemptedPrefixTracksBruteForce) {
+  constexpr int kGoals = 3;
+  StateTree t(snap({0}));
+  const auto check = [&](const char* step) {
+    for (int g = 0; g < kGoals; ++g) {
+      EXPECT_EQ(t.attemptedPrefix(g), bruteForcePrefix(t, g))
+          << "goal " << g << " after " << step;
+    }
+  };
+  check("construction");
+  const std::uint64_t shared = 0xfeedULL;
+  // Nodes 1 and 3 carry distinct states forced onto one hash, so a mark
+  // on one of them marks the other through the (state-hash, goal) set.
+  (void)t.addChild(0, in(1), snap({1}), shared);
+  (void)t.addChild(0, in(2), snap({2}));
+  (void)t.addChild(1, in(3), snap({3}), shared);
+  (void)t.addChild(2, in(4), snap({4}));
+  check("adding nodes");
+
+  // Out of order: the cursor waits for the gap at node 0.
+  t.markAttempted(2, 0);
+  check("mark (2, 0)");
+  EXPECT_EQ(t.attemptedPrefix(0), 0);
+  t.markAttempted(3, 0);  // also marks node 1 through the shared hash
+  check("mark (3, 0)");
+  EXPECT_TRUE(t.isAttempted(1, 0));
+  t.markAttempted(0, 0);
+  check("mark (0, 0)");
+  EXPECT_EQ(t.attemptedPrefix(0), 4);
+  t.markAttempted(4, 0);
+  check("mark (4, 0)");
+  EXPECT_EQ(t.attemptedPrefix(0), 5);
+
+  // Another goal moves independently.
+  t.markAttempted(0, 2);
+  check("mark (0, 2)");
+  EXPECT_EQ(t.attemptedPrefix(2), 1);
+  EXPECT_EQ(t.attemptedPrefix(1), 0);
+
+  // Appended nodes: a fresh state stops a complete goal's cursor at the
+  // new node; a node whose hash already carries the goal's mark does not.
+  (void)t.addChild(4, in(5), snap({5}));
+  check("appending a fresh node");
+  EXPECT_EQ(t.attemptedPrefix(0), 5);
+  t.markAttempted(5, 0);
+  check("mark (5, 0)");
+  EXPECT_EQ(t.attemptedPrefix(0), 6);
+  (void)t.addChild(5, in(6), snap({6}), shared);
+  check("appending a colliding node");
+  EXPECT_EQ(t.attemptedPrefix(0), 7);
+
+  // Filling goal 2's gaps moves its cursor over every node at once.
+  for (const int n : {6, 5, 4, 3, 2}) {
+    t.markAttempted(n, 2);
+    check("filling goal 2");
+  }
+  EXPECT_EQ(t.attemptedPrefix(2), 7);
+  EXPECT_EQ(t.attemptedPrefix(1), 0);
+}
+
 TEST(StateTree, HashDistinguishesValueAndOrder) {
   EXPECT_EQ(hashSnapshot(snap({1, 2})), hashSnapshot(snap({1, 2})));
   EXPECT_NE(hashSnapshot(snap({1, 2})), hashSnapshot(snap({2, 1})));
