@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -83,12 +82,16 @@ int CoverageTracker::recordDecision(int decisionId, int arm) {
   return -1;
 }
 
-template <typename Vals>
-bool CoverageTracker::recordConditionsWith(int decisionId,
-                                           const Vals& condVals,
-                                           std::size_t n, bool outcome) {
+bool CoverageTracker::recordConditions(int decisionId,
+                                       const std::uint8_t* condVals,
+                                       std::size_t n, bool outcome) {
   auto& seen = condSeen_.at(static_cast<std::size_t>(decisionId));
-  assert(n == seen.size());
+  if (n != seen.size()) {
+    throw expr::EvalError("coverage: decision " + std::to_string(decisionId) +
+                          " has " + std::to_string(seen.size()) +
+                          " condition(s), got " + std::to_string(n) +
+                          " value(s)");
+  }
   bool anyNew = false;
   std::uint64_t mask = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -119,18 +122,6 @@ bool CoverageTracker::recordConditionsWith(int decisionId,
     anyNew = true;
   }
   return anyNew;
-}
-
-bool CoverageTracker::recordConditions(int decisionId,
-                                       const std::vector<bool>& condVals,
-                                       bool outcome) {
-  return recordConditionsWith(decisionId, condVals, condVals.size(), outcome);
-}
-
-bool CoverageTracker::recordConditions(int decisionId,
-                                       const std::uint8_t* condVals,
-                                       std::size_t count, bool outcome) {
-  return recordConditionsWith(decisionId, condVals, count, outcome);
 }
 
 bool CoverageTracker::mcdcDemonstrated(int decisionId, int cond) const {

@@ -86,14 +86,13 @@ class CoverageTracker {
   /// this arm was newly covered, -1 otherwise.
   int recordDecision(int decisionId, int arm);
 
-  /// Record the condition values of an *active* decision evaluation.
-  /// `condVals[i]` is condition i's value; `outcome` is arm==0 for
-  /// boolean decisions (ignored otherwise). Returns true if any condition
-  /// polarity was observed for the first time.
-  bool recordConditions(int decisionId, const std::vector<bool>& condVals,
-                        bool outcome);
-  /// Same record, reading `count` 0/1 bytes — the allocation-free form
-  /// the pooled sim::StepObservationBatch rows feed directly.
+  /// Record the condition values of an *active* decision evaluation:
+  /// `count` 0/1 bytes, `condVals[i]` being condition i's value (the form
+  /// the pooled sim::StepObservationBatch rows feed directly). `outcome`
+  /// is arm==0 for boolean decisions (ignored otherwise). Returns true if
+  /// any condition polarity or MCDC vector was observed for the first
+  /// time. Throws expr::EvalError, leaving the tracker unchanged, when
+  /// `count` differs from the decision's condition count.
   bool recordConditions(int decisionId, const std::uint8_t* condVals,
                         std::size_t count, bool outcome);
 
@@ -166,12 +165,6 @@ class CoverageTracker {
   [[nodiscard]] bool mcdcExcluded(int decisionId, int cond) const;
 
  private:
-  // Shared body of the two recordConditions overloads; instantiated only
-  // in coverage.cpp, where both call it.
-  template <typename Vals>
-  bool recordConditionsWith(int decisionId, const Vals& condVals,
-                            std::size_t n, bool outcome);
-
   const compile::CompiledModel* cm_;
   std::vector<bool> branchCovered_;
   std::vector<bool> branchExcluded_;

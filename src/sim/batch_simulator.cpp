@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/record_step.h"
+
 namespace stcg::sim {
 
 using expr::Scalar;
@@ -110,7 +112,7 @@ void BatchSimulator::stepBatch(const std::vector<const InputVector*>& inputs,
       }
     }
     for (std::size_t i = 0; i < cm_->inputs.size(); ++i) {
-      // Same coercion chain as Simulator::stepTape.
+      // Same coercion chain as Simulator::step.
       ex.setVar(lane, cm_->inputs[i].info.id,
                 in[i].castTo(cm_->inputs[i].info.type));
     }
@@ -126,10 +128,10 @@ void BatchSimulator::stepBatch(const std::vector<const InputVector*>& inputs,
 
     for (std::size_t di = 0; di < cm_->decisions.size(); ++di) {
       if (!ex.scalarToBool(modelTape_.decisionActivations[di], lane)) {
-        taken[di] = -1;
+        taken[di] = kArmInactive;
         continue;
       }
-      int t = -2;  // active; recordObservation throws if no arm fires
+      int t = kArmNone;  // recordObservation throws if no arm fires
       const auto& arms = modelTape_.decisionArms[di];
       for (std::size_t a = 0; a < arms.size(); ++a) {
         if (ex.scalarToBool(arms[a], lane)) {
@@ -192,37 +194,30 @@ void BatchSimulator::stepBatch(const std::vector<const InputVector*>& inputs,
   std::fill(laneClean_.begin(), laneClean_.end(), 1);
 }
 
+namespace {
+
+/// recordStep reader over one lane of a StepObservationBatch: the pooled
+/// rows are read in place, condition bytes included.
+struct LaneReader {
+  const StepObservationBatch& obs;
+  int lane;
+
+  int arm(std::size_t di) const { return obs.decisionTaken(lane, di); }
+  const std::uint8_t* conditions(std::size_t di) const {
+    return obs.conditionValues(lane, di);
+  }
+  bool objectiveFired(std::size_t oi) const {
+    return obs.objectiveFired(lane, oi);
+  }
+};
+
+}  // namespace
+
 StepResult recordObservation(const compile::CompiledModel& cm,
                              const StepObservationBatch& obs, int lane,
                              coverage::CoverageTracker& cov) {
-  StepResult result;
-  for (std::size_t di = 0; di < cm.decisions.size(); ++di) {
-    const auto& d = cm.decisions[di];
-    const int taken = obs.decisionTaken(lane, di);
-    if (taken == -1) continue;
-    if (taken == -2) {
-      throw SimError("step: no arm of decision '" + d.name +
-                     "' satisfied although its activation holds");
-    }
-    const int newBranch = cov.recordDecision(d.id, taken);
-    if (newBranch >= 0) result.newlyCovered.push_back(newBranch);
-    if (!d.conditions.empty()) {
-      if (cov.recordConditions(d.id, obs.conditionValues(lane, di),
-                               obs.conditionCount(di), taken == 0)) {
-        result.newConditionObservation = true;
-      }
-    }
-  }
-  for (std::size_t oi = 0; oi < cm.objectives.size(); ++oi) {
-    const auto& obj = cm.objectives[oi];
-    if (cov.objectiveCovered(obj.id)) continue;
-    if (obs.objectiveFired(lane, oi)) {
-      if (cov.recordObjective(obj.id)) {
-        result.newConditionObservation = true;
-      }
-    }
-  }
-  return result;
+  LaneReader r{obs, lane};
+  return recordStep(cm, r, cov);
 }
 
 }  // namespace stcg::sim

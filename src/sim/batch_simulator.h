@@ -20,12 +20,14 @@
 // likewise advanced in place (element-wise Scalar stores into the
 // existing Value cells) instead of rebuilding a snapshot per step.
 //
-// Bit-identity: observation extraction reads the same slots in the same
-// order as Simulator::stepTape, and recordObservation() performs the same
-// tracker calls in the same order — including throwing the same SimError
-// when an active decision satisfies no arm (detected at execution, thrown
-// at record time, so speculative lanes that are never committed also never
-// throw, mirroring a sequential engine that never ran them).
+// Bit-identity: observation extraction reads the same ModelTape slots as
+// the scalar tape engine, and recordObservation() feeds one lane to
+// recordStep (sim/record_step.h), the recorder Simulator::step uses too —
+// so the tracker calls, their order and the SimError for an active
+// decision that satisfies no arm are the same by construction. That error
+// is detected at execution and thrown at record time, so speculative
+// lanes that are never committed also never throw, mirroring a
+// sequential engine that never ran them.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "sim/record_step.h"
 #include "util/strings.h"
 
 namespace stcg::sim {
@@ -11,7 +12,6 @@ using expr::Env;
 using expr::Evaluator;
 using expr::Scalar;
 using expr::Type;
-using expr::Value;
 
 namespace {
 
@@ -36,6 +36,75 @@ std::uint64_t hashScalar(const Scalar& s) {
   }
   return 0;
 }
+
+/// recordStep reader (record_step.h) over the memoizing tree Evaluator:
+/// every root is evaluated on demand, so conditions are evaluated only
+/// for active decisions and objectives only while uncovered.
+struct TreeReader {
+  const compile::CompiledModel& cm;
+  Evaluator& ev;
+  std::vector<std::uint8_t> conds;
+
+  bool holds(const expr::ExprPtr& e) { return ev.evalScalar(e).toBool(); }
+  int arm(std::size_t di) {
+    const auto& d = cm.decisions[di];
+    if (!holds(d.activation)) return kArmInactive;
+    for (std::size_t a = 0; a < d.armConds.size(); ++a) {
+      if (holds(d.armConds[a])) return static_cast<int>(a);
+    }
+    return kArmNone;
+  }
+  const std::uint8_t* conditions(std::size_t di) {
+    const auto& cs = cm.decisions[di].conditions;
+    conds.resize(cs.size());
+    for (std::size_t c = 0; c < cs.size(); ++c) conds[c] = holds(cs[c]);
+    return conds.data();
+  }
+  bool objectiveFired(std::size_t oi) {
+    const auto& obj = cm.objectives[oi];
+    return holds(obj.activation) && holds(obj.cond);
+  }
+  Scalar output(std::size_t i) { return ev.evalScalar(cm.outputs[i].second); }
+  Scalar nextScalar(std::size_t i) { return ev.evalScalar(cm.states[i].next); }
+  std::vector<Scalar> nextArray(std::size_t i) {
+    return ev.evalArray(cm.states[i].next);
+  }
+};
+
+/// recordStep reader over the slots of one executed ModelTape, shared by
+/// the interpreted TapeExecutor and the native JitTapeExecutor.
+template <typename Executor>
+struct TapeReader {
+  const compile::ModelTape& mt;
+  const Executor& ex;
+  std::vector<std::uint8_t> conds;
+
+  bool holds(expr::SlotRef s) const { return ex.scalar(s).toBool(); }
+  int arm(std::size_t di) const {
+    if (!holds(mt.decisionActivations[di])) return kArmInactive;
+    const auto& arms = mt.decisionArms[di];
+    for (std::size_t a = 0; a < arms.size(); ++a) {
+      if (holds(arms[a])) return static_cast<int>(a);
+    }
+    return kArmNone;
+  }
+  const std::uint8_t* conditions(std::size_t di) {
+    const auto& slots = mt.decisionConditions[di];
+    conds.resize(slots.size());
+    for (std::size_t c = 0; c < slots.size(); ++c) conds[c] = holds(slots[c]);
+    return conds.data();
+  }
+  bool objectiveFired(std::size_t oi) const {
+    return holds(mt.objectiveActivations[oi]) && holds(mt.objectiveConds[oi]);
+  }
+  Scalar output(std::size_t i) const { return ex.scalar(mt.outputs[i]); }
+  Scalar nextScalar(std::size_t i) const {
+    return ex.scalar(mt.stateNext[i]);
+  }
+  std::vector<Scalar> nextArray(std::size_t i) const {
+    return ex.array(mt.stateNext[i]);
+  }
+};
 
 }  // namespace
 
@@ -86,17 +155,6 @@ void Simulator::restore(const StateSnapshot& s) {
   state_ = s;
 }
 
-void Simulator::bindState(Env& env) const {
-  for (std::size_t i = 0; i < cm_->states.size(); ++i) {
-    const auto& sv = cm_->states[i];
-    if (sv.width == 1) {
-      env.set(sv.id, state_[i].scalar());
-    } else {
-      env.setArray(sv.id, state_[i].elems());
-    }
-  }
-}
-
 StepResult Simulator::step(const InputVector& in,
                            coverage::CoverageTracker* cov) {
   // Invariant: one scalar per declared input, in declaration order.
@@ -117,88 +175,30 @@ StepResult Simulator::stepTree(const InputVector& in,
                                coverage::CoverageTracker* cov) {
   Env env;
   env.reserve(cm_->varCount());
-  bindState(env);
+  for (std::size_t i = 0; i < cm_->states.size(); ++i) {
+    const auto& sv = cm_->states[i];
+    if (sv.width == 1) {
+      env.set(sv.id, state_[i].scalar());
+    } else {
+      env.setArray(sv.id, state_[i].elems());
+    }
+  }
   for (std::size_t i = 0; i < cm_->inputs.size(); ++i) {
     env.set(cm_->inputs[i].info.id, in[i].castTo(cm_->inputs[i].info.type));
   }
-
   Evaluator ev(env);
-  StepResult result;
-
-  // Coverage: evaluate every decision whose activation holds.
-  if (cov != nullptr) {
-    for (const auto& d : cm_->decisions) {
-      if (!ev.evalScalar(d.activation).toBool()) continue;
-      int taken = -1;
-      for (std::size_t a = 0; a < d.armConds.size(); ++a) {
-        if (ev.evalScalar(d.armConds[a]).toBool()) {
-          taken = static_cast<int>(a);
-          break;
-        }
-      }
-      // Arms are exhaustive by construction (the compiler appends a
-      // default arm); no arm firing means a malformed compilation.
-      if (taken < 0) {
-        throw SimError("step: no arm of decision '" + d.name +
-                       "' satisfied although its activation holds");
-      }
-      const int newBranch = cov->recordDecision(d.id, taken);
-      if (newBranch >= 0) result.newlyCovered.push_back(newBranch);
-      if (!d.conditions.empty()) {
-        std::vector<bool> vals;
-        vals.reserve(d.conditions.size());
-        for (const auto& c : d.conditions) {
-          vals.push_back(ev.evalScalar(c).toBool());
-        }
-        if (cov->recordConditions(d.id, vals, taken == 0)) {
-          result.newConditionObservation = true;
-        }
-      }
-    }
-  }
-
-  if (cov != nullptr) {
-    for (const auto& obj : cm_->objectives) {
-      if (cov->objectiveCovered(obj.id)) continue;
-      if (ev.evalScalar(obj.activation).toBool() &&
-          ev.evalScalar(obj.cond).toBool()) {
-        if (cov->recordObjective(obj.id)) {
-          result.newConditionObservation = true;
-        }
-      }
-    }
-  }
-
-  // Outputs.
-  lastOutputs_.clear();
-  lastOutputs_.reserve(cm_->outputs.size());
-  for (const auto& [name, e] : cm_->outputs) {
-    (void)name;
-    lastOutputs_.push_back(ev.evalScalar(e));
-  }
-
-  // Next state (computed fully before committing).
-  StateSnapshot next;
-  next.reserve(cm_->states.size());
-  for (const auto& sv : cm_->states) {
-    if (sv.width == 1) {
-      next.emplace_back(ev.evalScalar(sv.next).castTo(sv.type));
-    } else {
-      next.emplace_back(Value(sv.type, ev.evalArray(sv.next)));
-    }
-  }
-  state_ = std::move(next);
-  return result;
+  TreeReader r{*cm_, ev, {}};
+  return finishStep(r, cov);
 }
 
 template <typename Executor>
 StepResult Simulator::stepWith(Executor& ex, const InputVector& in,
                                coverage::CoverageTracker* cov) {
-  // One linear pass computes every root; the coverage/output/next-state
-  // logic below reads slots in exactly the order stepTree evaluates, so
-  // recorded coverage and committed values are bit-identical to the tree.
-  // Instantiated for the interpreted TapeExecutor and the native
-  // JitTapeExecutor — the bind/read surface is identical.
+  // One linear pass computes every root; finishStep then reads the slots
+  // in the order stepTree evaluates, so recorded coverage and committed
+  // values are bit-identical to the tree. Instantiated for the
+  // interpreted TapeExecutor and the native JitTapeExecutor — the
+  // bind/read surface is identical.
   for (std::size_t i = 0; i < cm_->states.size(); ++i) {
     const auto& sv = cm_->states[i];
     if (sv.width == 1) {
@@ -214,64 +214,30 @@ StepResult Simulator::stepWith(Executor& ex, const InputVector& in,
               in[i].castTo(cm_->inputs[i].info.type));
   }
   ex.run();
+  TapeReader<Executor> r{modelTape_, ex, {}};
+  return finishStep(r, cov);
+}
 
+template <typename Reader>
+StepResult Simulator::finishStep(Reader& r, coverage::CoverageTracker* cov) {
   StepResult result;
-  if (cov != nullptr) {
-    for (std::size_t di = 0; di < cm_->decisions.size(); ++di) {
-      const auto& d = cm_->decisions[di];
-      if (!ex.scalar(modelTape_.decisionActivations[di]).toBool()) continue;
-      int taken = -1;
-      const auto& arms = modelTape_.decisionArms[di];
-      for (std::size_t a = 0; a < arms.size(); ++a) {
-        if (ex.scalar(arms[a]).toBool()) {
-          taken = static_cast<int>(a);
-          break;
-        }
-      }
-      if (taken < 0) {
-        throw SimError("step: no arm of decision '" + d.name +
-                       "' satisfied although its activation holds");
-      }
-      const int newBranch = cov->recordDecision(d.id, taken);
-      if (newBranch >= 0) result.newlyCovered.push_back(newBranch);
-      if (!d.conditions.empty()) {
-        std::vector<bool> vals;
-        vals.reserve(d.conditions.size());
-        for (const auto& slot : modelTape_.decisionConditions[di]) {
-          vals.push_back(ex.scalar(slot).toBool());
-        }
-        if (cov->recordConditions(d.id, vals, taken == 0)) {
-          result.newConditionObservation = true;
-        }
-      }
-    }
-    for (std::size_t oi = 0; oi < cm_->objectives.size(); ++oi) {
-      const auto& obj = cm_->objectives[oi];
-      if (cov->objectiveCovered(obj.id)) continue;
-      if (ex.scalar(modelTape_.objectiveActivations[oi]).toBool() &&
-          ex.scalar(modelTape_.objectiveConds[oi]).toBool()) {
-        if (cov->recordObjective(obj.id)) {
-          result.newConditionObservation = true;
-        }
-      }
-    }
-  }
+  if (cov != nullptr) result = recordStep(*cm_, r, *cov);
 
   lastOutputs_.clear();
   lastOutputs_.reserve(cm_->outputs.size());
-  for (const auto& slot : modelTape_.outputs) {
-    lastOutputs_.push_back(ex.scalar(slot));
+  for (std::size_t i = 0; i < cm_->outputs.size(); ++i) {
+    lastOutputs_.push_back(r.output(i));
   }
 
+  // Next state, computed fully before committing.
   StateSnapshot next;
   next.reserve(cm_->states.size());
   for (std::size_t i = 0; i < cm_->states.size(); ++i) {
     const auto& sv = cm_->states[i];
-    const auto& slot = modelTape_.stateNext[i];
     if (sv.width == 1) {
-      next.emplace_back(ex.scalar(slot).castTo(sv.type));
+      next.emplace_back(r.nextScalar(i).castTo(sv.type));
     } else {
-      next.emplace_back(Value(sv.type, ex.array(slot)));
+      next.emplace_back(sv.type, r.nextArray(i));
     }
   }
   state_ = std::move(next);

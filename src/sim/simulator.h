@@ -99,11 +99,15 @@ class Simulator {
   }
 
  private:
-  void bindState(expr::Env& env) const;
   StepResult stepTree(const InputVector& in, coverage::CoverageTracker* cov);
   template <typename Executor>
   StepResult stepWith(Executor& ex, const InputVector& in,
                       coverage::CoverageTracker* cov);
+  // Shared tail of every engine: recordStep (sim/record_step.h) when
+  // `cov` is set, then output and next-state readback through `r`
+  // (output(i), nextScalar(i), nextArray(i)).
+  template <typename Reader>
+  StepResult finishStep(Reader& r, coverage::CoverageTracker* cov);
 
   const compile::CompiledModel* cm_;
   EvalEngine engine_;

@@ -342,42 +342,53 @@ void Campaign::runSolveTask(const SolveTask& t, TaskOutcome& out) {
 
 // ----- Algorithm 2: dynamic execution --------------------------------------
 void Campaign::executeSequence(int startNode,
-                               std::vector<sim::InputVector> seq,
+                               const std::vector<sim::InputVector>& seq,
                                TestOrigin origin,
                                const std::string& goalLabel) {
   sim_.restore(cs_.tree.node(startNode).state);
   int cur = startNode;
   std::vector<sim::InputVector> executed;
   executed.reserve(seq.size());
-  for (auto& input : seq) {
+  for (const auto& input : seq) {
     const auto res = sim_.step(input, &cs_.tracker);
-    ++cs_.stats.stepsExecuted;
-    executed.push_back(input);
-    const auto snap = sim_.snapshot();
-    const int existing = cs_.tree.findByState(snap);
-    if (existing >= 0) {
-      cur = existing;
-    } else if (cs_.tree.size() <
-               static_cast<std::size_t>(opt_.maxTreeNodes)) {
-      cur = cs_.tree.addChild(cur, input, snap);
-      trace("new state S" + std::to_string(cur));
-    }
-    if (res.foundNewCoverage()) {
-      TestCase tc;
-      tc.steps = cs_.tree.pathInputs(startNode);
-      tc.steps.insert(tc.steps.end(), executed.begin(), executed.end());
-      tc.timestampSec = now();
-      tc.origin = origin;
-      tc.goalLabel = goalLabel;
-      cs_.tests.push_back(std::move(tc));
-      cs_.events.push_back(
-          GenEvent{now(), cs_.tracker.decisionCoverage(), origin});
-      trace("test case emitted (" +
-            std::string(origin == TestOrigin::kSolved ? "solved" : "random") +
-            "), DC=" + std::to_string(cs_.tracker.decisionCoverage()));
-    }
+    commitStep(startNode, cur, input, sim_.state(), res, executed, origin,
+               goalLabel);
     if (deadline_.expired()) break;
   }
+}
+
+bool Campaign::commitStep(int startNode, int& cur,
+                          const sim::InputVector& input,
+                          const sim::StateSnapshot& nextState,
+                          const sim::StepResult& stepResult,
+                          std::vector<sim::InputVector>& executed,
+                          TestOrigin origin, const std::string& label) {
+  ++cs_.stats.stepsExecuted;
+  executed.push_back(input);
+  bool grew = false;
+  const int existing = cs_.tree.findByState(nextState);
+  if (existing >= 0) {
+    cur = existing;
+  } else if (cs_.tree.size() < static_cast<std::size_t>(opt_.maxTreeNodes)) {
+    cur = cs_.tree.addChild(cur, input, nextState);
+    grew = true;
+    trace("new state S" + std::to_string(cur));
+  }
+  if (stepResult.foundNewCoverage()) {
+    TestCase tc;
+    tc.steps = cs_.tree.pathInputs(startNode);
+    tc.steps.insert(tc.steps.end(), executed.begin(), executed.end());
+    tc.timestampSec = now();
+    tc.origin = origin;
+    tc.goalLabel = label;
+    cs_.tests.push_back(std::move(tc));
+    cs_.events.push_back(
+        GenEvent{now(), cs_.tracker.decisionCoverage(), origin});
+    trace("test case emitted (" +
+          std::string(origin == TestOrigin::kSolved ? "solved" : "random") +
+          "), DC=" + std::to_string(cs_.tracker.decisionCoverage()));
+  }
+  return grew;
 }
 
 // ----- MCDC pair completion ------------------------------------------------
@@ -464,13 +475,17 @@ void Campaign::randomExpandRound() {
   }
 }
 
-void Campaign::randomExecution() {
+void Campaign::beginRandomSequence(const ReplayPlan& plan) {
   ++cs_.stats.randomSequences;
-  ReplayPlan plan = drawReplayPlan(cs_.randomStream.position());
   cs_.randomStream.skip();
   trace("random execution on S" + std::to_string(plan.start) + " (" +
         std::to_string(plan.seq.size()) + " steps)");
-  executeSequence(plan.start, std::move(plan.seq), TestOrigin::kRandom, "");
+}
+
+void Campaign::randomExecution() {
+  const ReplayPlan plan = drawReplayPlan(cs_.randomStream.position());
+  beginRandomSequence(plan);
+  executeSequence(plan.start, plan.seq, TestOrigin::kRandom, "");
 }
 
 /// Batched replay expansion: run opt_.batch random sequences in
@@ -522,10 +537,7 @@ void Campaign::randomExecutionBatch() {
       ++cs_.round;
     }
     const ReplayPlan& plan = plans[static_cast<std::size_t>(k)];
-    ++cs_.stats.randomSequences;
-    cs_.randomStream.skip();
-    trace("random execution on S" + std::to_string(plan.start) + " (" +
-          std::to_string(plan.seq.size()) + " steps)");
+    beginRandomSequence(plan);
     bool grew = false;
     int cur = plan.start;
     std::vector<sim::InputVector> executed;
@@ -533,28 +545,9 @@ void Campaign::randomExecutionBatch() {
     for (std::size_t i = 0; i < steps; ++i) {
       const sim::StepObservationBatch& o = obsPool_[i];
       const auto res = sim::recordObservation(cm_, o, k, cs_.tracker);
-      ++cs_.stats.stepsExecuted;
-      executed.push_back(plan.seq[i]);
-      const int existing = cs_.tree.findByState(o.next(k));
-      if (existing >= 0) {
-        cur = existing;
-      } else if (cs_.tree.size() <
-                 static_cast<std::size_t>(opt_.maxTreeNodes)) {
-        cur = cs_.tree.addChild(cur, plan.seq[i], o.next(k));
+      if (commitStep(plan.start, cur, plan.seq[i], o.next(k), res, executed,
+                     TestOrigin::kRandom, "")) {
         grew = true;
-        trace("new state S" + std::to_string(cur));
-      }
-      if (res.foundNewCoverage()) {
-        TestCase tc;
-        tc.steps = cs_.tree.pathInputs(plan.start);
-        tc.steps.insert(tc.steps.end(), executed.begin(), executed.end());
-        tc.timestampSec = now();
-        tc.origin = TestOrigin::kRandom;
-        cs_.tests.push_back(std::move(tc));
-        cs_.events.push_back(GenEvent{now(), cs_.tracker.decisionCoverage(),
-                                      TestOrigin::kRandom});
-        trace("test case emitted (random), DC=" +
-              std::to_string(cs_.tracker.decisionCoverage()));
       }
       if (deadline_.expired()) break;
     }

@@ -151,8 +151,21 @@ class Campaign {
   void runSolveTask(const SolveTask& t, TaskOutcome& out);
 
   // Algorithm 2: dynamic execution.
-  void executeSequence(int startNode, std::vector<sim::InputVector> seq,
+  void executeSequence(int startNode, const std::vector<sim::InputVector>& seq,
                        TestOrigin origin, const std::string& goalLabel);
+  /// Algorithm 2's per-step commit, the one routine every executor's
+  /// steps go through (executeSequence and each lane of
+  /// randomExecutionBatch): count the step, append `input` to `executed`,
+  /// move `cur` to the tree node holding `nextState` — adding it as a
+  /// child of `cur` while the tree is below maxTreeNodes — and, when
+  /// `stepResult` found new coverage, emit a test (the path to
+  /// `startNode` + `executed`) and its GenEvent. Returns true when the
+  /// tree grew.
+  bool commitStep(int startNode, int& cur, const sim::InputVector& input,
+                  const sim::StateSnapshot& nextState,
+                  const sim::StepResult& stepResult,
+                  std::vector<sim::InputVector>& executed, TestOrigin origin,
+                  const std::string& label);
   void tryMcdcPair(const SolveHit& hit, const Goal& goal);
 
   struct ReplayPlan {
@@ -160,8 +173,16 @@ class Campaign {
     std::vector<sim::InputVector> seq;
   };
   [[nodiscard]] ReplayPlan drawReplayPlan(std::uint64_t seqIndex);
+  /// Start the random sequence `plan` drawn at the stream cursor: count
+  /// it, advance the cursor, trace it.
+  void beginRandomSequence(const ReplayPlan& plan);
   void randomExpandRound();
+  // One random sequence through executeSequence (the scalar engines, and
+  // the reference the batched expansion must reproduce).
   void randomExecution();
+  // opt_.batch random sequences stepped in lockstep lanes, then committed
+  // lane by lane through the same recorder and commitStep as
+  // randomExecution, so the result is the same as that many scalar calls.
   void randomExecutionBatch();
 
   const compile::CompiledModel& cm_;
@@ -173,7 +194,9 @@ class Campaign {
   /// first randomExecutionBatch() call (never when opt_.batch <= 1).
   std::optional<sim::BatchSimulator> bsim_;
   // Pooled per-step observation batches for randomExecutionBatch():
-  // obsPool_[i] holds step i of every lane, reused across calls.
+  // obsPool_[i] holds step i of every lane, reused across calls. Each
+  // committed lane step is recorded from here by sim::recordObservation
+  // (the recorder every engine shares) and committed by commitStep.
   std::vector<sim::StepObservationBatch> obsPool_;
   Deadline deadline_;
   Stopwatch watch_;

@@ -30,9 +30,22 @@ void validateGenOptions(const GenOptions& options) {
         "GenOptions: checkpointEveryRounds must be in [1, 1000000], got " +
         std::to_string(options.checkpointEveryRounds));
   }
-  if (options.maxRounds < 0) {
-    throw expr::EvalError("GenOptions: maxRounds must be >= 0, got " +
-                          std::to_string(options.maxRounds));
+  const auto nonNegative = [](const char* name, int value) {
+    if (value < 0) {
+      throw expr::EvalError(std::string("GenOptions: ") + name +
+                            " must be >= 0, got " + std::to_string(value));
+    }
+  };
+  nonNegative("maxRounds", options.maxRounds);
+  nonNegative("randomSeqLen", options.randomSeqLen);
+  nonNegative("maxTreeNodes", options.maxTreeNodes);
+  // Negated so NaN fails too: it is a std::bernoulli_distribution
+  // probability, which must lie in [0, 1].
+  if (!(options.freshRandomProbability >= 0.0 &&
+        options.freshRandomProbability <= 1.0)) {
+    throw expr::EvalError(
+        "GenOptions: freshRandomProbability must be in [0, 1], got " +
+        std::to_string(options.freshRandomProbability));
   }
   if (options.resume && options.checkpointPath.empty()) {
     throw expr::EvalError(

@@ -13,12 +13,17 @@
 //     samples, and model bits),
 //   - BatchSimulator vs scalar Simulator across all eight bench models
 //     (observations, outputs, states, coverage; restore mid-run),
+//   - a decision with no satisfied arm: SimError from every scalar engine
+//     and from recordObservation, never from a speculative stepBatch;
+//     and every coverage reader (tree, tape, JIT, batch lane) leaving a
+//     byte-identical serialized tracker,
 //   - replaySuite batched vs scalar tracker equality,
 //   - end-to-end: StcgGenerator results pinned across batch x jobs,
 //     including a local-search-solver run that batches neighbor scoring.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -452,6 +457,93 @@ INSTANTIATE_TEST_SUITE_P(AllModels, BatchSimSweep,
                          ::testing::Values("CPUTask", "AFC", "TWC",
                                            "NICProtocol", "UTPC", "LANSwitch",
                                            "LEDLC", "TCP"));
+
+// ----- Malformed decision: active, but no arm satisfied --------------------
+
+TEST(RecordStep, DecisionWithNoSatisfiedArmThrowsOnEveryEngine) {
+  // Regions.MergeSelectsActiveArmOrFallback's switch-case model with the
+  // default arm of its decision erased: input 4 keeps the decision active
+  // but satisfies none of the remaining arms.
+  model::Model m("t");
+  auto sel = m.addInport("sel", Type::kInt, 0, 5);
+  const auto regions = m.addSwitchCase("sc", sel, {{0}, {1}}, false);
+  std::vector<std::pair<model::RegionId, model::PortRef>> arms;
+  {
+    model::RegionScope r0(m, regions[0]);
+    arms.emplace_back(regions[0], m.addConstant("a", Scalar::i(10)));
+  }
+  {
+    model::RegionScope r1(m, regions[1]);
+    arms.emplace_back(regions[1], m.addConstant("b", Scalar::i(20)));
+  }
+  m.addOutport("y", m.addMerge("mg", arms, Scalar::i(-1)));
+  auto cm = compile::compile(m);
+  ASSERT_EQ(cm.decisions.size(), 1u);
+  auto& d = cm.decisions[0];
+  ASSERT_EQ(d.armConds.size(), 3u);  // case 0, case 1, default
+  d.armConds.pop_back();
+  d.armLabels.pop_back();
+
+  const sim::InputVector ok{Scalar::i(0)};
+  const sim::InputVector noArm{Scalar::i(4)};
+  for (const auto engine : {sim::EvalEngine::kTree, sim::EvalEngine::kTape,
+                            sim::EvalEngine::kJit}) {
+    sim::Simulator s(cm, engine);
+    if (!s.jitFallbackReason().empty()) continue;  // no JIT toolchain
+    coverage::CoverageTracker cov(cm);
+    EXPECT_NO_THROW((void)s.step(ok, &cov)) << static_cast<int>(engine);
+    EXPECT_THROW((void)s.step(noArm, &cov), sim::SimError)
+        << static_cast<int>(engine);
+  }
+
+  // Batched lanes are speculative: the malformed lane records its
+  // observation silently, and only replaying it into a tracker throws.
+  sim::BatchSimulator bsim(cm, 2);
+  sim::StepObservationBatch obs;
+  EXPECT_NO_THROW(bsim.stepBatch({&ok, &noArm}, obs));
+  coverage::CoverageTracker cov(cm);
+  EXPECT_NO_THROW((void)sim::recordObservation(cm, obs, 0, cov));
+  EXPECT_THROW((void)sim::recordObservation(cm, obs, 1, cov), sim::SimError);
+}
+
+TEST(RecordStep, EveryReaderLeavesIdenticalTrackerState) {
+  // The step sweeps compare coverage counts, which a reader that
+  // consistently flips a condition's polarity would preserve; the
+  // serialized tracker (polarities, the ordered MCDC log, objectives)
+  // pins every recorded bit for the tree, tape, JIT and batch-lane
+  // readers alike.
+  for (const auto& info : bench::allBenchModels()) {
+    const auto cm = compile::compile(info.build());
+    std::vector<std::unique_ptr<sim::Simulator>> sims;
+    for (const auto engine : {sim::EvalEngine::kTree, sim::EvalEngine::kTape,
+                              sim::EvalEngine::kJit}) {
+      sims.push_back(std::make_unique<sim::Simulator>(cm, engine));
+      if (!sims.back()->jitFallbackReason().empty()) sims.pop_back();
+    }
+    std::vector<std::unique_ptr<coverage::CoverageTracker>> covs;
+    for (std::size_t i = 0; i <= sims.size(); ++i) {
+      covs.push_back(std::make_unique<coverage::CoverageTracker>(cm));
+    }
+    sim::BatchSimulator bsim(cm, 1);
+    sim::StepObservationBatch obs;
+    Rng rng(4242);
+    for (int stepNo = 0; stepNo < 150; ++stepNo) {
+      const auto in = sim::randomInput(cm, rng);
+      for (std::size_t i = 0; i < sims.size(); ++i) {
+        (void)sims[i]->step(in, covs[i].get());
+      }
+      bsim.stepBatch({&in}, obs);
+      (void)sim::recordObservation(cm, obs, 0, *covs.back());
+    }
+    std::ostringstream tree;
+    covs[0]->serializeState(tree);
+    for (std::size_t i = 1; i < covs.size(); ++i) {
+      std::ostringstream other;
+      covs[i]->serializeState(other);
+      EXPECT_EQ(other.str(), tree.str()) << info.name << " reader " << i;
+    }
+  }
+}
 
 // ----- replaySuite: batched lanes equal the scalar replay ------------------
 

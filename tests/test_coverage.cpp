@@ -2,8 +2,12 @@
 // accounting, including unique-cause pair detection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+
 #include "compile/compiler.h"
 #include "coverage/coverage.h"
+#include "expr/eval.h"
 #include "model/model.h"
 
 namespace stcg::coverage {
@@ -24,6 +28,13 @@ compile::CompiledModel twoCondModel() {
                                 model::SwitchCriteria::kNotZero, 0.0));
   return compile::compile(m);
 }
+
+// Condition vectors {c0, c1} of that decision, as the 0/1 bytes
+// recordConditions reads.
+constexpr std::uint8_t kTT[] = {1, 1};
+constexpr std::uint8_t kTF[] = {1, 0};
+constexpr std::uint8_t kFT[] = {0, 1};
+constexpr std::uint8_t kFF[] = {0, 0};
 
 TEST(Coverage, StartsEmpty) {
   const auto cm = twoCondModel();
@@ -49,7 +60,7 @@ TEST(Coverage, ConditionPolaritiesTrackedSeparately) {
   const auto cm = twoCondModel();
   CoverageTracker cov(cm);
   const int d = cm.decisions[0].id;
-  EXPECT_TRUE(cov.recordConditions(d, {true, false}, false));
+  EXPECT_TRUE(cov.recordConditions(d, kTF, 2, false));
   EXPECT_TRUE(cov.conditionSeen(d, 0, true));
   EXPECT_FALSE(cov.conditionSeen(d, 0, false));
   EXPECT_TRUE(cov.conditionSeen(d, 1, false));
@@ -57,7 +68,27 @@ TEST(Coverage, ConditionPolaritiesTrackedSeparately) {
   EXPECT_EQ(seen, 2);
   EXPECT_EQ(total, 4);
   // Re-recording the same vector adds nothing new.
-  EXPECT_FALSE(cov.recordConditions(d, {true, false}, false));
+  EXPECT_FALSE(cov.recordConditions(d, kTF, 2, false));
+}
+
+TEST(Coverage, WrongConditionCountRejectedWithTrackerUnchanged) {
+  const auto cm = twoCondModel();
+  CoverageTracker cov(cm);
+  const int d = cm.decisions[0].id;
+  (void)cov.recordConditions(d, kTF, 2, false);
+  std::ostringstream before;
+  cov.serializeState(before);
+
+  const std::uint8_t three[] = {0, 1, 1};
+  EXPECT_THROW((void)cov.recordConditions(d, three, 3, true),
+               expr::EvalError);
+  EXPECT_THROW((void)cov.recordConditions(d, kFT, 1, true), expr::EvalError);
+
+  std::ostringstream after;
+  cov.serializeState(after);
+  EXPECT_EQ(after.str(), before.str());
+  EXPECT_FALSE(cov.conditionSeen(d, 0, false));
+  EXPECT_FALSE(cov.conditionSeen(d, 1, true));
 }
 
 TEST(Coverage, McdcUniqueCausePairDetection) {
@@ -65,15 +96,15 @@ TEST(Coverage, McdcUniqueCausePairDetection) {
   CoverageTracker cov(cm);
   const int d = cm.decisions[0].id;
   // (T,T)->true and (F,T)->false differ only in condition 0: pair for c0.
-  (void)cov.recordConditions(d, {true, true}, true);
-  (void)cov.recordConditions(d, {false, true}, false);
+  (void)cov.recordConditions(d, kTT, 2, true);
+  (void)cov.recordConditions(d, kFT, 2, false);
   EXPECT_TRUE(cov.mcdcDemonstrated(d, 0));
   EXPECT_FALSE(cov.mcdcDemonstrated(d, 1));
   const auto [ms, mt] = cov.mcdcCounts();
   EXPECT_EQ(ms, 1);
   EXPECT_EQ(mt, 2);
   // (T,F)->false completes condition 1 against (T,T)->true.
-  (void)cov.recordConditions(d, {true, false}, false);
+  (void)cov.recordConditions(d, kTF, 2, false);
   EXPECT_TRUE(cov.mcdcDemonstrated(d, 1));
   EXPECT_EQ(cov.mcdcCoverage(), 1.0);
 }
@@ -83,8 +114,8 @@ TEST(Coverage, McdcRequiresOutcomeChange) {
   CoverageTracker cov(cm);
   const int d = cm.decisions[0].id;
   // Same outcome on both vectors: no pair even though only c0 flips.
-  (void)cov.recordConditions(d, {true, false}, false);
-  (void)cov.recordConditions(d, {false, false}, false);
+  (void)cov.recordConditions(d, kTF, 2, false);
+  (void)cov.recordConditions(d, kFF, 2, false);
   EXPECT_FALSE(cov.mcdcDemonstrated(d, 0));
 }
 
@@ -93,8 +124,8 @@ TEST(Coverage, McdcRequiresSingleConditionDifference) {
   CoverageTracker cov(cm);
   const int d = cm.decisions[0].id;
   // Both conditions flip: no unique cause.
-  (void)cov.recordConditions(d, {true, true}, true);
-  (void)cov.recordConditions(d, {false, false}, false);
+  (void)cov.recordConditions(d, kTT, 2, true);
+  (void)cov.recordConditions(d, kFF, 2, false);
   EXPECT_FALSE(cov.mcdcDemonstrated(d, 0));
   EXPECT_FALSE(cov.mcdcDemonstrated(d, 1));
 }

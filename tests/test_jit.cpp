@@ -24,6 +24,7 @@
 // library's own fallback.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -595,6 +596,17 @@ TEST(OptionValidation, OutOfRangeJobsAndBatchRejectedWithTypedError) {
   bad = {};
   bad.solver.batch = 100000;
   EXPECT_THROW((void)g.generate(cm, bad), expr::EvalError);
+  bad = {};
+  bad.randomSeqLen = -1;
+  EXPECT_THROW((void)g.generate(cm, bad), expr::EvalError);
+  bad = {};
+  bad.maxTreeNodes = -1;
+  EXPECT_THROW((void)g.generate(cm, bad), expr::EvalError);
+  for (const double p : {-0.1, 1.5, std::nan("")}) {
+    bad = {};
+    bad.freshRandomProbability = p;
+    EXPECT_THROW((void)g.generate(cm, bad), expr::EvalError) << p;
+  }
 
   solver::SolveOptions so;
   so.batch = -3;

@@ -2,14 +2,17 @@
 # Kill-and-resume fuzz for the checkpointable STCG campaign, driven
 # through the public CLI:
 #
-#   1. SIGKILL fuzz — start a fixed-seed, round-capped campaign with
+#   1. Engine/lane identity — the reference campaign rerun under
+#      --engine tree --batch 1 and under --jobs 4 must export a
+#      byte-identical suite.
+#   2. SIGKILL fuzz — start a fixed-seed, round-capped campaign with
 #      --checkpoint, SIGKILL it at a random point, resume, repeat until
 #      a run completes; the exported suite must be byte-identical to an
 #      uninterrupted reference run. Kills land anywhere, including
 #      mid-save: the atomic tmp+rename write means the checkpoint on
 #      disk is always either the previous complete one or the new
 #      complete one, never a torn file.
-#   2. Corrupt-checkpoint sweep — truncations, a flipped byte, trailing
+#   3. Corrupt-checkpoint sweep — truncations, a flipped byte, trailing
 #      junk and an empty file must each be *rejected* by --resume with a
 #      typed "error:" diagnostic and a nonzero exit, never a crash
 #      (exit >= 128 would mean the loader died on a signal).
@@ -54,6 +57,27 @@ ref_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
 max_delay_ms=$(( ref_ms * 6 / 5 ))
 [ "$max_delay_ms" -lt 20 ] && max_delay_ms=20
 echo "   reference took ${ref_ms}ms; kill window [0, ${max_delay_ms}ms]"
+
+# The reference trajectory must not depend on the engine, the replay
+# lane width or the solve lane count: the tree engine with scalar replay
+# runs the tree recorder and the scalar commit path, while the default
+# tape engine with batched replay (the reference, and again at --jobs 4)
+# runs the tape and batch-lane recorders and the lane commit path.
+expect_identical() {
+  local label="$1"
+  shift
+  rm -f "$out"
+  "$cli" "${common[@]}" "$@" --export "$out" > /dev/null
+  if ! cmp -s "$ref" "$out"; then
+    echo "FAIL: suite under $label differs from the reference" >&2
+    diff "$ref" "$out" | head -20 >&2
+    exit 1
+  fi
+  echo "   $label: suite identical"
+}
+echo "-- engine / batch / jobs identity --"
+expect_identical "--engine tree --batch 1" --engine tree --batch 1
+expect_identical "--jobs 4" --jobs 4
 
 echo "-- SIGKILL + resume fuzz ($iterations iterations) --"
 for it in $(seq 1 "$iterations"); do
