@@ -412,24 +412,7 @@ BatchDistanceTape::BatchDistanceTape(const ExprPtr& goal,
 }
 
 void BatchDistanceTape::setPoint(int lane, const std::vector<double>& point) {
-  // scalarForVar + setVar without the Scalar round trip: the typed binds
-  // apply the identical coercion chain (r/i/b construction, then the
-  // binding-type cast) directly on the payload.
-  for (std::size_t i = 0; i < vars_.size(); ++i) {
-    const expr::VarInfo& v = vars_[i];
-    switch (v.type) {
-      case Type::kReal:
-        exec_->setVarReal(lane, v.id, point[i]);
-        break;
-      case Type::kInt:
-        exec_->setVarInt(lane, v.id,
-                         static_cast<std::int64_t>(std::llround(point[i])));
-        break;
-      case Type::kBool:
-        exec_->setVarBool(lane, v.id, point[i] >= 0.5);
-        break;
-    }
-  }
+  bindPoint(*exec_, lane, vars_, point.data());
 }
 
 void BatchDistanceTape::overlayInstr(const DistanceProgram::Instr& in) {

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <optional>
+#include <unordered_set>
 
+#include "expr/batch_tape.h"
+#include "expr/tape_verify.h"
 #include "interval/hc4.h"
 
 namespace stcg::solver {
@@ -39,6 +43,102 @@ Scalar scalarForVar(const VarInfo& info, double v) {
   return Scalar::r(v);
 }
 
+namespace {
+
+/// Throw EvalError naming the first variable `goal` mentions that `vars`
+/// does not declare (every array variable counts: `vars` is scalar-only).
+/// This walk runs on every solve, so it tracks visited nodes only where
+/// a second visit is possible: a child whose use count is 1 has a single
+/// parent in this DAG (the walk holds the root, so no reference it counts
+/// can go away meanwhile) and is reached at most once.
+void requireDeclared(const ExprPtr& goal, const std::vector<VarInfo>& vars) {
+  std::unordered_set<const expr::Expr*> shared;
+  std::vector<const expr::Expr*> stack{goal.get()};
+  while (!stack.empty()) {
+    const expr::Expr* e = stack.back();
+    stack.pop_back();
+    if (e->op == expr::Op::kVar || e->op == expr::Op::kVarArray) {
+      const bool declared =
+          e->op == expr::Op::kVar &&
+          std::any_of(vars.begin(), vars.end(),
+                      [&](const VarInfo& v) { return v.id == e->var; });
+      if (!declared) {
+        throw expr::EvalError(
+            "BoxSolver::solve: goal mentions variable '" + e->varName +
+            "' (id " + std::to_string(e->var) + ") missing from vars");
+      }
+    }
+    for (const auto& a : e->args) {
+      if (a->args.empty() && a->op != expr::Op::kVar &&
+          a->op != expr::Op::kVarArray) {
+        continue;  // constants
+      }
+      if (a.use_count() > 1 && !shared.insert(a.get()).second) continue;
+      stack.push_back(a.get());
+    }
+  }
+}
+
+/// Certifies a box's candidate points as the lanes of one pass over the
+/// goal's tape, compiled by the first call.
+class LaneCertifier {
+ public:
+  /// Index of the first of `count` candidates at which `goal` is true, or
+  /// -1. Candidate k is row k of `points`: one raw draw per var of `vars`
+  /// (discrete dimensions already rounded), bound through bindPoint.
+  /// `goal`, `vars` and `count` must not change between calls.
+  int firstTrue(const ExprPtr& goal, const std::vector<VarInfo>& vars,
+                const double* points, int count) {
+    if (count <= 0) return -1;
+    if (!lanes_) {
+      expr::TapeBuilder b;
+      root_ = b.addRoot(goal);
+      std::shared_ptr<const expr::Tape> tape = b.finish();
+      expr::maybeRequireVerifiedTape(*tape, "BoxSolver");
+      lanes_.emplace(std::move(tape), count);
+      truth_.resize(static_cast<std::size_t>(count));
+    }
+    for (int k = 0; k < count; ++k) {
+      bindPoint(*lanes_, k, vars,
+                points + static_cast<std::size_t>(k) * vars.size());
+    }
+    lanes_->run();
+    lanes_->readBools(root_, truth_.data());
+    for (int k = 0; k < count; ++k) {
+      if (truth_[static_cast<std::size_t>(k)] != 0) return k;
+    }
+    return -1;
+  }
+
+ private:
+  std::optional<expr::BatchTapeExecutor> lanes_;
+  expr::SlotRef root_;
+  std::vector<std::uint64_t> truth_;
+};
+
+}  // namespace
+
+void bindPoint(expr::BatchTapeExecutor& ex, int lane,
+               const std::vector<VarInfo>& vars, const double* point) {
+  // The typed binds apply scalarForVar's coercion chain (r/i/b
+  // construction, then the binding-type cast) directly on the payload.
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    const VarInfo& v = vars[i];
+    switch (v.type) {
+      case Type::kReal:
+        ex.setVarReal(lane, v.id, point[i]);
+        break;
+      case Type::kInt:
+        ex.setVarInt(lane, v.id,
+                     static_cast<std::int64_t>(std::llround(point[i])));
+        break;
+      case Type::kBool:
+        ex.setVarBool(lane, v.id, point[i] >= 0.5);
+        break;
+    }
+  }
+}
+
 std::pair<std::int64_t, std::int64_t> integerEndpoints(double lo, double hi) {
   // 2^62 is exactly representable in double and round-trips through the
   // cast; it is far beyond any model domain, so saturation never distorts
@@ -50,7 +150,7 @@ std::pair<std::int64_t, std::int64_t> integerEndpoints(double lo, double hi) {
 }
 
 void BoxSolver::samplePoint(const Box& box, Rng& rng, bool corners,
-                            int cornerKind, Env& env) const {
+                            int cornerKind, double* row) const {
   for (const auto& v : box.vars()) {
     const Interval d = box.domain(v.id);
     double x;
@@ -67,16 +167,12 @@ void BoxSolver::samplePoint(const Box& box, Rng& rng, bool corners,
     } else {
       const auto [lo, hi] = integerEndpoints(d.lo(), d.hi());
       // lo > hi: the interval holds no integer. Probe the midpoint —
-      // still inside the box, and certify() rejects it if infeasible.
+      // still inside the box, and certification rejects it if infeasible.
       x = lo <= hi ? static_cast<double>(rng.uniformInt(lo, hi)) : d.mid();
     }
     if (v.type != Type::kReal) x = std::round(x);
-    env.set(v.id, scalarForVar(v, x));
+    *row++ = x;
   }
-}
-
-bool BoxSolver::certify(const ExprPtr& goal, const Env& env) {
-  return expr::evaluate(goal, env).toBool();
 }
 
 SolveResult BoxSolver::solve(const ExprPtr& goal,
@@ -85,6 +181,7 @@ SolveResult BoxSolver::solve(const ExprPtr& goal,
     throw expr::EvalError(
         "BoxSolver::solve: goal must be a scalar boolean expression");
   }
+  requireDeclared(goal, vars);
   SolveResult result;
   Stopwatch watch;
   const Deadline deadline = Deadline::afterMillis(options_.timeBudgetMillis);
@@ -112,6 +209,10 @@ SolveResult BoxSolver::solve(const ExprPtr& goal,
   }
 
   Hc4Contractor contractor(goal);
+  LaneCertifier certifier;
+  const int candidates = std::max(0, 3 + options_.samplesPerBox);
+  std::vector<double> points(static_cast<std::size_t>(candidates) *
+                             vars.size());
   std::deque<Box> work;
   work.emplace_back(vars);
   bool exhaustive = true;  // whether every refuted region was proven empty
@@ -131,16 +232,45 @@ SolveResult BoxSolver::solve(const ExprPtr& goal,
       continue;
     }
 
-    // Candidate points: three deterministic corners then random draws.
-    Env env;
-    for (int k = 0; k < 3 + options_.samplesPerBox; ++k) {
-      env.clear();
-      samplePoint(box, rng, /*corners=*/k < 3, k, env);
-      ++result.stats.samplesTried;
-      if (certify(goal, env)) {
-        result.model = std::move(env);
-        return finish(SolveStatus::kSat);
+    // Candidate points: three deterministic corners then random draws,
+    // certified together. On the root box the corners go first, alone:
+    // most satisfiable residuals hold at its lower corner, and a solve
+    // that returns there never draws from the RNG. Until the draws, the
+    // lanes past the corners repeat the last corner, so the first true
+    // lane is still the first true candidate.
+    const auto row = [&](int k) {
+      return points.data() + static_cast<std::size_t>(k) * vars.size();
+    };
+    const auto certify = [&] {
+      return certifier.firstTrue(goal, vars, points.data(), candidates);
+    };
+    int win = -1;
+    int drawn = 0;
+    if (result.stats.boxesProcessed == 1 && candidates > 3) {
+      for (; drawn < 3; ++drawn) {
+        samplePoint(box, rng, /*corners=*/true, drawn, row(drawn));
       }
+      for (int k = 3; k < candidates; ++k) {
+        std::copy(row(2), row(3), row(k));
+      }
+      win = certify();
+    }
+    if (win < 0) {
+      for (int k = drawn; k < candidates; ++k) {
+        samplePoint(box, rng, /*corners=*/k < 3, k, row(k));
+      }
+      win = certify();
+    }
+    // samplesTried counts the candidates a one-at-a-time loop would have
+    // evaluated: up to the winner.
+    result.stats.samplesTried += win >= 0 ? win + 1 : candidates;
+    if (win >= 0) {
+      Env env;
+      for (std::size_t d = 0; d < vars.size(); ++d) {
+        env.set(vars[d].id, scalarForVar(vars[d], row(win)[d]));
+      }
+      result.model = std::move(env);
+      return finish(SolveStatus::kSat);
     }
 
     // Split and recurse.

@@ -5,11 +5,26 @@
 // assignment, prove none exists, or give up within a budget.
 //
 // Algorithm: maintain a worklist of boxes. For each box, (1) contract with
-// HC4 — an empty contraction soundly refutes the box; (2) sample candidate
-// points (box corners, midpoint, random draws) and certify them by concrete
-// evaluation — a certified point is a model; (3) otherwise split the widest
-// dimension and recurse. UNSAT is reported only when every box has been
-// refuted; running out of time/boxes yields UNKNOWN.
+// HC4 — an empty contraction soundly refutes the box; (2) draw the box's
+// 3 + samplesPerBox candidate points (corners, midpoint, random draws) and
+// certify them as the lanes of one compiled tape pass — the first true
+// lane is the model; (3) otherwise split the widest dimension and recurse.
+// UNSAT is reported only when every box has been refuted; running out of
+// time/boxes yields UNKNOWN.
+//
+// Certification compiles the goal into a Tape (expr/tape.h) the first
+// time a box survives HC4, so queries refuted at the root compile
+// nothing, and runs every candidate of a box through one
+// BatchTapeExecutor pass (lane width 3 + samplesPerBox; on the root box
+// the corners first run alone, so a solve that returns at a corner never
+// draws from the RNG). The tape is
+// bit-identical to the tree Evaluator and candidates past the first true
+// lane were never observable to callers (a candidate-by-candidate loop
+// returned there), so status, model and stats equal those of the
+// evaluate()-per-candidate solver this replaced — tests/test_solver.cpp
+// keeps that solver as the differential oracle.
+// SolveOptions::batch does not apply here: it sizes local search's
+// neighbourhood scorer only.
 //
 // The paper's central observation lives here: after STCG fixes the model
 // state as constants, the residual constraints are small and this solver
@@ -27,6 +42,10 @@
 #include "interval/box.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+
+namespace stcg::expr {
+class BatchTapeExecutor;
+}  // namespace stcg::expr
 
 namespace stcg::solver {
 
@@ -69,26 +88,32 @@ class BoxSolver {
 
   /// Find an assignment over `vars` making `goal` true. `goal` must be
   /// boolean-typed. Variables of `vars` not occurring in `goal` receive
-  /// their domain midpoint in the model.
+  /// their domain midpoint in the model. Every variable `goal` mentions
+  /// must be declared in `vars`: otherwise solve() throws expr::EvalError
+  /// before any search, even when the variable sits in a branch no
+  /// candidate would reach (the compiled certifier binds eagerly).
   [[nodiscard]] SolveResult solve(const expr::ExprPtr& goal,
                                   const std::vector<expr::VarInfo>& vars);
 
   [[nodiscard]] const SolveOptions& options() const { return options_; }
 
  private:
-  /// Draw a concrete point from `box` into `env` (all dimensions).
+  /// Draw a concrete point from `box` into `row` (one entry per box
+  /// dimension).
   void samplePoint(const interval::Box& box, Rng& rng, bool corners,
-                   int cornerKind, expr::Env& env) const;
-
-  /// True if `goal` evaluates to true at `env`.
-  [[nodiscard]] static bool certify(const expr::ExprPtr& goal,
-                                    const expr::Env& env);
+                   int cornerKind, double* row) const;
 
   SolveOptions options_;
 };
 
 /// Convert a solver scalar draw (stored as real) to the variable's type.
 [[nodiscard]] expr::Scalar scalarForVar(const expr::VarInfo& info, double v);
+
+/// Bind `point` (one raw draw per var of `vars`) into `lane` of `ex`:
+/// scalarForVar's coercion applied through the executor's typed binds,
+/// without materializing a Scalar.
+void bindPoint(expr::BatchTapeExecutor& ex, int lane,
+               const std::vector<expr::VarInfo>& vars, const double* point);
 
 /// Integer endpoints of the real interval [lo, hi], saturated to a range
 /// that casts exactly to int64 — casting an unbounded (±inf) endpoint

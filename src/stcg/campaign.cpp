@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <utility>
 
 #include "expr/builder.h"
@@ -52,7 +53,139 @@ std::uint64_t taskStream(int round, int goalIdx, int nodeId) {
 /// winner sits near the front of the grid solves little past it.
 constexpr std::size_t kScanCellsPerLane = 16;
 
+/// Payload bits of a scalar (its type travels separately in the key).
+std::uint64_t payloadWord(const expr::Scalar& v) {
+  switch (v.type()) {
+    case expr::Type::kBool: return v.asBool() ? 1 : 0;
+    case expr::Type::kInt: return static_cast<std::uint64_t>(v.asInt());
+    case expr::Type::kReal: {
+      const double d = v.asReal();
+      std::uint64_t w = 0;
+      std::memcpy(&w, &d, sizeof w);
+      return w;
+    }
+  }
+  return 0;
+}
+
 }  // namespace
+
+// ----- Proven-UNSAT memo ---------------------------------------------------
+//
+// Key layout for goal g: [g << 32 | key length, then per read state slot
+// in ascending order its payload words — an array slot prefixed by its
+// length — with the values' 2-bit type tags packed 32 to a word after
+// every 32 values and once more at the end]. For a fixed goal the
+// read-slot list is fixed, so the lengths make the layout decodable and
+// equal keys mean bit-equal projected states.
+
+namespace {
+
+constexpr std::uint32_t kFoldedBit = 1U << 31;
+
+std::uint64_t hashKey(const std::uint64_t* key, std::size_t n) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t i = 0; i < n; ++i) h = splitmix64(h ^ key[i]);
+  return h;
+}
+
+std::size_t keyLength(std::uint64_t header) { return header & 0xffffffffU; }
+
+}  // namespace
+
+std::uint64_t UnsatMemo::encode(int goalIdx, const sim::StateSnapshot& s,
+                                std::vector<std::uint64_t>& key) const {
+  key.assign(1, 0);
+  std::uint64_t tags = 0;
+  int nTags = 0;
+  const auto value = [&](const expr::Scalar& v) {
+    key.push_back(payloadWord(v));
+    tags |= static_cast<std::uint64_t>(v.type()) << (2 * nTags);
+    if (++nTags == 32) {
+      key.push_back(tags);
+      tags = 0;
+      nTags = 0;
+    }
+  };
+  for (const std::uint32_t i : reads_[static_cast<std::size_t>(goalIdx)]) {
+    if (cm_->states[i].width == 1) {
+      value(s[i].scalar());
+    } else {
+      key.push_back(s[i].elems().size());
+      for (const auto& e : s[i].elems()) value(e);
+    }
+  }
+  key.push_back(tags);
+  key[0] = static_cast<std::uint64_t>(goalIdx) << 32 | key.size();
+  return hashKey(key.data(), key.size());
+}
+
+std::size_t UnsatMemo::probe(const std::vector<std::uint64_t>& key,
+                             std::uint64_t hash) const {
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t p = hash & mask;; p = (p + 1) & mask) {
+    const std::uint32_t slot = table_[p];
+    if (slot == 0) return p;
+    const std::uint64_t* rec = arena_.data() + ((slot & ~kFoldedBit) - 1);
+    if (rec[0] == key[0] && std::equal(key.begin(), key.end(), rec)) {
+      return p;
+    }
+  }
+}
+
+std::optional<bool> UnsatMemo::find(int goalIdx,
+                                    const sim::StateSnapshot& s) const {
+  const auto g = static_cast<std::size_t>(goalIdx);
+  if (g >= readsReady_.size() || readsReady_[g] == 0) return std::nullopt;
+  std::vector<std::uint64_t> key;
+  const std::uint64_t h = encode(goalIdx, s, key);
+  const std::uint32_t slot = table_[probe(key, h)];
+  if (slot == 0) return std::nullopt;
+  return (slot & kFoldedBit) != 0;
+}
+
+void UnsatMemo::insert(int goalIdx, const sim::StateSnapshot& s,
+                       bool folded) {
+  const auto g = static_cast<std::size_t>(goalIdx);
+  if (readsReady_.size() <= g) {
+    readsReady_.resize(goals_->size());
+    reads_.resize(goals_->size());
+  }
+  if (readsReady_[g] == 0) {
+    const std::vector<expr::VarId> vars =
+        expr::collectVars((*goals_)[g].pathConstraint);
+    for (std::size_t i = 0; i < cm_->states.size(); ++i) {
+      if (std::binary_search(vars.begin(), vars.end(), cm_->states[i].id)) {
+        reads_[g].push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    readsReady_[g] = 1;
+  }
+  // Keep the load factor at most 1/2 (the table starts at 64 slots).
+  if (2 * (size_ + 1) > table_.size()) {
+    std::vector<std::uint32_t> old = std::move(table_);
+    table_.assign(std::max<std::size_t>(64, 2 * old.size()), 0);
+    const std::size_t mask = table_.size() - 1;
+    for (const std::uint32_t slot : old) {
+      if (slot == 0) continue;
+      const std::uint64_t* rec = arena_.data() + ((slot & ~kFoldedBit) - 1);
+      std::size_t p = hashKey(rec, keyLength(rec[0])) & mask;
+      while (table_[p] != 0) p = (p + 1) & mask;
+      table_[p] = slot;
+    }
+  }
+  std::vector<std::uint64_t> key;
+  const std::uint64_t h = encode(goalIdx, s, key);
+  const std::size_t p = probe(key, h);
+  if (table_[p] != 0) return;
+  if (arena_.size() + key.size() >= kFoldedBit) {
+    return;  // a full memo just stops learning; it is only a cache
+  }
+  table_[p] = static_cast<std::uint32_t>(arena_.size() + 1) |
+              (folded ? kFoldedBit : 0U);
+  arena_.insert(arena_.end(), key.begin(), key.end());
+  ++size_;
+}
 
 Campaign::Campaign(const compile::CompiledModel& cm, const GenOptions& opt,
                    TraceFn trace, void* traceUser)
@@ -64,6 +197,7 @@ Campaign::Campaign(const compile::CompiledModel& cm, const GenOptions& opt,
       deadline_(Deadline::afterMillis(opt.budgetMillis)),
       pool_(std::make_unique<ThreadPool>(
           opt.jobs <= 0 ? ThreadPool::hardwareThreads() : opt.jobs)),
+      memo_(cm, goals_),
       cs_(cm, sim_.snapshot()),
       trace_(trace),
       traceUser_(traceUser) {
@@ -274,6 +408,11 @@ std::optional<Campaign::SolveHit> Campaign::solveRound() {
     ++cs_.stats.solveCalls;
     if (out.folded || out.status == solver::SolveStatus::kUnsat) {
       ++cs_.stats.solveUnsat;
+      if (out.memoHit) {
+        ++memoHits_;
+      } else {
+        memo_.insert(t.goalIdx, cs_.tree.node(t.nodeId).state, out.folded);
+      }
     } else if (out.status == solver::SolveStatus::kUnknown) {
       ++cs_.stats.solveUnknown;
     } else {
@@ -293,20 +432,29 @@ void Campaign::runSolveTask(const SolveTask& t, TaskOutcome& out) {
   out.ran = true;
   const Goal& goal = goals_[static_cast<std::size_t>(t.goalIdx)];
   const bool wantTrace = trace_ != nullptr;
-
-  // "Bring the model state value as constants into the model."
-  const expr::Env env = stateEnv(cm_, cs_.tree.node(t.nodeId).state);
-  const expr::ExprPtr residual = expr::substitute(goal.pathConstraint, env);
-  if (residual->op == expr::Op::kConst && !residual->constVal.toBool()) {
-    // Folded to false: this state provably cannot reach the goal in
-    // one step.
-    out.folded = true;
+  const sim::StateSnapshot& state = cs_.tree.node(t.nodeId).state;
+  const auto infeasible = [&](bool folded) {
+    out.folded = folded;
     out.status = solver::SolveStatus::kUnsat;
     if (wantTrace) {
       out.traceLine = "solve " + goal.label + " on S" +
                       std::to_string(t.nodeId) +
-                      ": infeasible (state-folded)";
+                      (folded ? ": infeasible (state-folded)" : ": UNSAT");
     }
+  };
+
+  if (const std::optional<bool> known = memo_.find(t.goalIdx, state)) {
+    out.memoHit = true;
+    infeasible(*known);
+    return;
+  }
+  // "Bring the model state value as constants into the model."
+  const expr::ExprPtr residual =
+      expr::substitute(goal.pathConstraint, stateEnv(cm_, state));
+  if (residual->op == expr::Op::kConst && !residual->constVal.toBool()) {
+    // Folded to false: this state provably cannot reach the goal in
+    // one step.
+    infeasible(/*folded=*/true);
     return;
   }
   solver::SolveOptions so = opt_.solver;
@@ -326,10 +474,7 @@ void Campaign::runSolveTask(const SolveTask& t, TaskOutcome& out) {
       }
       break;
     case solver::SolveStatus::kUnsat:
-      if (wantTrace) {
-        out.traceLine = "solve " + goal.label + " on S" +
-                        std::to_string(t.nodeId) + ": UNSAT";
-      }
+      infeasible(/*folded=*/false);
       break;
     case solver::SolveStatus::kUnknown:
       if (wantTrace) {
@@ -403,23 +548,25 @@ void Campaign::tryMcdcPair(const SolveHit& hit, const Goal& goal) {
   if (!d.isBooleanDecision() || d.conditions.size() < 2) return;
   if (deadline_.expired()) return;
 
-  // Observed sibling condition values under the solved input.
-  expr::Env env = stateEnv(cm_, cs_.tree.node(hit.nodeId).state);
+  // Observed sibling condition values under the solved input. One
+  // evaluator for all conditions, so subterms they share evaluate once.
+  const expr::Env state = stateEnv(cm_, cs_.tree.node(hit.nodeId).state);
+  expr::Env env = state;
   for (std::size_t i = 0; i < cm_.inputs.size(); ++i) {
     env.set(cm_.inputs[i].info.id, hit.input[i]);
   }
+  expr::Evaluator ev(env);
   std::vector<expr::ExprPtr> pins;
   pins.push_back(d.activation);
   for (std::size_t c = 0; c < d.conditions.size(); ++c) {
-    const bool v = expr::evaluate(d.conditions[c], env).toBool();
+    const bool v = ev.evalScalar(d.conditions[c]).toBool();
     if (static_cast<int>(c) == goal.condIndex) {
       pins.push_back(v ? expr::notE(d.conditions[c]) : d.conditions[c]);
     } else {
       pins.push_back(v ? d.conditions[c] : expr::notE(d.conditions[c]));
     }
   }
-  const expr::ExprPtr residual = expr::substitute(
-      expr::andAll(pins), stateEnv(cm_, cs_.tree.node(hit.nodeId).state));
+  const expr::ExprPtr residual = expr::substitute(expr::andAll(pins), state);
   ++cs_.stats.solveCalls;
   if (residual->op == expr::Op::kConst && !residual->constVal.toBool()) {
     ++cs_.stats.solveUnsat;

@@ -471,5 +471,30 @@ TEST(ParallelGen, LazyScanCommitsMaterialisedGridPrefixFourLanes) {
   expectLazyScanMatchesGrid(4);
 }
 
+// The proven-UNSAT memo under threads: lanes probe it during the scan
+// while only the coordinator inserts (after the scan's barrier). The
+// committed cells, and so the memo's contents and hit count, must not
+// depend on the lane count.
+TEST(ParallelGen, UnsatMemoHitsIdenticalAcrossJobs) {
+  const auto cm = compile::compile(bench::buildBenchModel("NICProtocol"));
+  const auto run = [&](int jobs, long long* hits) {
+    GenOptions opt;
+    opt.seed = 3;
+    opt.jobs = jobs;
+    opt.maxRounds = 120;
+    opt.budgetMillis = -1;
+    opt.solver.timeBudgetMillis = -1;
+    Campaign c(cm, opt);
+    while (!c.finished()) c.runRound();
+    *hits = c.memoHits();
+    return c.finish();
+  };
+  long long seqHits = 0, parHits = 0;
+  const GenResult seq = run(1, &seqHits);
+  expectIdentical(seq, run(4, &parHits), "NICProtocol jobs=4");
+  EXPECT_GT(seqHits, 0);
+  EXPECT_EQ(seqHits, parHits);
+}
+
 }  // namespace
 }  // namespace stcg::gen

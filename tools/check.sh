@@ -77,6 +77,15 @@ echo "== bench_batch_eval --quick (STCG_SIMD=scalar) =="
 STCG_SIMD=scalar "$bench_dir/bench/bench_batch_eval" --quick
 echo "== bench_batch_eval --quick (detected SIMD level) =="
 "$bench_dir/bench/bench_batch_eval" --quick
+# The box solver certifies candidates as batch-executor lanes, so its
+# differential tests against the tree-walking certifier, the proven-UNSAT
+# memo tests and the campaign trajectory pins run at both levels as well.
+cmake --build "$bench_dir" -j "$(nproc)" --target stcg_tests
+solver_filter='Solver*:*Certify*:*Memo*:*TrajectoryPin*'
+echo "== solver/memo tests (STCG_SIMD=scalar) =="
+STCG_SIMD=scalar "$bench_dir/tests/stcg_tests" --gtest_filter="$solver_filter"
+echo "== solver/memo tests (detected SIMD level) =="
+"$bench_dir/tests/stcg_tests" --gtest_filter="$solver_filter"
 # Quick tape-audit smoke in Release too: the producers' own debug-build
 # verification is compiled out here, so the explicit sweep is the gate.
 "$bench_dir/tools/tape_audit" --quick
