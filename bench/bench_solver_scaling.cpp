@@ -6,7 +6,7 @@
 //   - one-step, STCG-style: state fixed as constants (after one Add),
 //   - k-step unrolled, SLDV-style: symbolic store/select towers, k=1..4,
 // plus the building-block costs (simulator step, partial evaluation, HC4
-// contraction).
+// contraction, the per-cell RNG fork chain).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -21,6 +21,7 @@
 #include "solver/solver.h"
 #include "stcg/stcg_generator.h"
 #include "stcg/testgen.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -275,6 +276,31 @@ void BM_Hc4Contract(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Hc4Contract)->Unit(benchmark::kMicrosecond);
+
+void BM_Hc4Construct(benchmark::State& state) {
+  const auto& br = deleteSuccessBranch();
+  const auto residual =
+      expr::substitute(br.pathConstraint, stateEnvOf(warmState()));
+  state.counters["nodes"] = static_cast<double>(expr::dagSize(residual));
+  for (auto _ : state) {
+    interval::Hc4Contractor contractor(residual);
+    benchmark::DoNotOptimize(&contractor);
+  }
+}
+BENCHMARK(BM_Hc4Construct)->Unit(benchmark::kMicrosecond);
+
+// The per-cell seed derivation of a solve round: two counter-based forks
+// (neither drawn from) and one draw from the leaf, as Campaign does for
+// every solve cell before the solver sees its seed.
+void BM_RngFirstDraw(benchmark::State& state) {
+  const Rng root(20240607);
+  std::uint64_t cell = 0;
+  for (auto _ : state) {
+    Rng task = root.fork(1).fork(splitmix64(++cell));
+    benchmark::DoNotOptimize(task.uniformInt(1, 1'000'000'000));
+  }
+}
+BENCHMARK(BM_RngFirstDraw)->Unit(benchmark::kNanosecond);
 
 }  // namespace
 

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "expr/builder.h"
+#include "expr/node_index.h"
 
 namespace stcg::expr {
 
@@ -16,9 +17,14 @@ class Substituter {
       : binding_(binding), mapping_(mapping) {}
 
   ExprPtr rewrite(const ExprPtr& e) {
-    if (auto it = memo_.find(e.get()); it != memo_.end()) return it->second;
+    if (const int i = memo_.find(e.get()); i != NodeIndex::kAbsent) {
+      return results_[static_cast<std::size_t>(i)];
+    }
     ExprPtr result = rewriteNoMemo(e);
-    memo_.emplace(e.get(), result);
+    // The children were numbered during the recursion, so e's index is
+    // results_.size().
+    memo_.insert(e.get());
+    results_.push_back(result);
     return result;
   }
 
@@ -103,7 +109,8 @@ class Substituter {
 
   const Env* binding_;
   const std::unordered_map<VarId, ExprPtr>* mapping_;
-  std::unordered_map<const Expr*, ExprPtr> memo_;
+  NodeIndex memo_;                // input node -> index into results_
+  std::vector<ExprPtr> results_;  // rewritten node, by memo_ index
 };
 
 }  // namespace

@@ -129,12 +129,12 @@ SlotRef TapeBuilder::addRoot(const ExprPtr& e) {
 }
 
 SlotRef TapeBuilder::slotOf(const Expr* e) const {
-  const auto it = memo_.find(e);
-  if (it == memo_.end()) {
+  const int i = memo_.find(e);
+  if (i == NodeIndex::kAbsent) {
     throw EvalError("TapeBuilder::slotOf on a node no root reaches (op " +
                     std::string(opName(e->op)) + ")");
   }
-  return it->second;
+  return slots_[static_cast<std::size_t>(i)];
 }
 
 SlotRef TapeBuilder::emitDag(const Expr* root) {
@@ -145,19 +145,23 @@ SlotRef TapeBuilder::emitDag(const Expr* root) {
     std::size_t next = 0;
   };
   std::vector<Frame> stack;
-  if (memo_.find(root) == memo_.end()) stack.push_back({root});
+  if (memo_.find(root) == NodeIndex::kAbsent) stack.push_back({root});
   while (!stack.empty()) {
     Frame& f = stack.back();
     if (f.next < f.e->args.size()) {
       const Expr* child = f.e->args[f.next].get();
       ++f.next;
-      if (memo_.find(child) == memo_.end()) stack.push_back({child});
+      if (memo_.find(child) == NodeIndex::kAbsent) stack.push_back({child});
       continue;
     }
-    if (memo_.find(f.e) == memo_.end()) memo_.emplace(f.e, assignSlot(f.e));
+    if (memo_.find(f.e) == NodeIndex::kAbsent) {
+      const SlotRef r = assignSlot(f.e);
+      memo_.insert(f.e);  // numbered slots_.size()
+      slots_.push_back(r);
+    }
     stack.pop_back();
   }
-  return memo_.at(root);
+  return slots_[static_cast<std::size_t>(memo_.find(root))];
 }
 
 std::int32_t TapeBuilder::newScalarSlot(const Scalar& init) {
@@ -224,7 +228,8 @@ SlotRef TapeBuilder::assignSlot(const Expr* e) {
   in.type = e->type;
   in.arrayResult = e->isArray();
   const auto slotOfArg = [&](std::size_t i) {
-    return memo_.at(e->args[i].get()).slot;
+    return slots_[static_cast<std::size_t>(memo_.find(e->args[i].get()))]
+        .slot;
   };
   in.a = slotOfArg(0);
   if (e->args.size() > 1) in.b = slotOfArg(1);

@@ -39,6 +39,7 @@
 
 #include "expr/eval.h"
 #include "expr/expr.h"
+#include "expr/node_index.h"
 
 namespace stcg::expr {
 
@@ -235,7 +236,8 @@ class TapeBuilder {
   std::int32_t newArraySlot(std::vector<Scalar> init);
 
   std::shared_ptr<Tape> tape_ = std::make_shared<Tape>();
-  std::unordered_map<const Expr*, SlotRef> memo_;
+  NodeIndex memo_;              // emitted node -> index into slots_
+  std::vector<SlotRef> slots_;  // by memo_ index
   // Value-numbering tables (global CSE): constants by (type, payload
   // bits), scalar vars by (var, type), array vars by var, instructions by
   // (op, type, operand slots).

@@ -7,9 +7,19 @@
 // fixpoint. The contractor is sound: it never removes a point that could
 // satisfy the constraint, so an empty result proves unsatisfiability
 // within the box.
+//
+// Memo layout: the constructor numbers the goal DAG once (dense node
+// indices, children as a flat index array), so each sweep's per-node
+// forward domains live in vectors indexed by node. A sweep invalidates
+// them by bumping an epoch counter rather than clearing anything: a slot
+// holds a domain of the current sweep only when its stamp equals the
+// epoch. Forward evaluation stays lazy — an ite whose condition is
+// decided evaluates only the taken arm — and an unstamped slot reads as
+// the whole line in the backward pass, exactly as an absent map entry
+// did, so the contracted boxes do not depend on the memo layout.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "expr/expr.h"
@@ -37,22 +47,63 @@ class Hc4Contractor {
   /// `box` (no narrowing). Useful as a cheap infeasibility test.
   [[nodiscard]] Interval forwardEval(const Box& box);
 
+  /// Test seam: the sweep counter. Sweeps bump it before use; on wrap to
+  /// 0 every stamp is cleared, so no slot of an earlier sweep can read
+  /// as current.
+  [[nodiscard]] std::uint64_t epochForTesting() const { return epoch_; }
+  void setEpochForTesting(std::uint64_t epoch) { epoch_ = epoch; }
+
  private:
   using ArrayDomain = std::vector<Interval>;
+
+  struct Node {
+    const expr::Expr* e = nullptr;
+    std::size_t firstKid = 0;  // e's args are nodes kids_[firstKid..]
+  };
+  // Per-node forward memo; `value` is current iff stamp == epoch_.
+  struct ScalarSlot {
+    Interval value;
+    std::uint64_t stamp = 0;
+  };
+  struct ArraySlot {
+    ArrayDomain value;
+    std::uint64_t stamp = 0;
+  };
+
+  // Starts a sweep: invalidates every forward slot.
+  void nextEpoch();
 
   // One forward/backward sweep. Returns kEmpty on proven infeasibility.
   ContractOutcome pass(Box& box);
 
-  Interval forward(const expr::Expr* e, const Box& box);
-  ArrayDomain forwardArray(const expr::Expr* e, const Box& box);
+  [[nodiscard]] const expr::Expr& node(int n) const {
+    return *nodes_[static_cast<std::size_t>(n)].e;
+  }
+  // Index of the k-th argument of node `n`.
+  [[nodiscard]] int arg(int n, int k) const {
+    return kids_[nodes_[static_cast<std::size_t>(n)].firstKid +
+                 static_cast<std::size_t>(k)];
+  }
+  // The node's forward domain of this sweep; the whole line when the
+  // sweep never evaluated it (untaken ite arm, array node).
+  [[nodiscard]] Interval fwdOf(int n) const {
+    const ScalarSlot& s = fwd_[static_cast<std::size_t>(n)];
+    return s.stamp == epoch_ ? s.value : Interval::whole();
+  }
 
-  // Narrow through node `e` given that its value must lie in `target`.
+  Interval forward(int n, const Box& box);
+  const ArrayDomain& forwardArray(int n, const Box& box);
+
+  // Narrow through node `n` given that its value must lie in `target`.
   // Returns false if a contradiction (empty domain) was derived.
-  bool backward(const expr::Expr* e, Interval target, Box& box);
+  bool backward(int n, Interval target, Box& box);
 
-  expr::ExprPtr goal_;
-  std::unordered_map<const expr::Expr*, Interval> fwd_;
-  std::unordered_map<const expr::Expr*, ArrayDomain> fwdArray_;
+  expr::ExprPtr goal_;       // node 0
+  std::vector<Node> nodes_;  // distinct DAG nodes, by index
+  std::vector<int> kids_;
+  std::vector<ScalarSlot> fwd_;
+  std::vector<ArraySlot> fwdArray_;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace stcg::interval

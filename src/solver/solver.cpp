@@ -4,9 +4,9 @@
 #include <cmath>
 #include <deque>
 #include <optional>
-#include <unordered_set>
 
 #include "expr/batch_tape.h"
+#include "expr/node_index.h"
 #include "expr/tape_verify.h"
 #include "interval/hc4.h"
 
@@ -52,7 +52,7 @@ namespace {
 /// parent in this DAG (the walk holds the root, so no reference it counts
 /// can go away meanwhile) and is reached at most once.
 void requireDeclared(const ExprPtr& goal, const std::vector<VarInfo>& vars) {
-  std::unordered_set<const expr::Expr*> shared;
+  expr::NodeIndex shared;
   std::vector<const expr::Expr*> stack{goal.get()};
   while (!stack.empty()) {
     const expr::Expr* e = stack.back();

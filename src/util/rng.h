@@ -16,6 +16,8 @@
 #include <random>
 #include <vector>
 
+#include "util/lazy_mt64.h"
+
 namespace stcg {
 
 /// SplitMix64 finalizer: a bijective 64-bit mix used to derive independent
@@ -27,9 +29,12 @@ namespace stcg {
   return x ^ (x >> 31);
 }
 
-/// Seedable pseudo-random generator wrapping std::mt19937_64 with the
-/// convenience draws the generators need. Cheap to copy; pass by reference
-/// when the caller should observe the advanced stream.
+/// Seedable pseudo-random generator with the convenience draws the
+/// generators need. Its engine draws exactly the std::mt19937_64 sequence
+/// of the seed, but seeds and twists lazily (util/lazy_mt64.h), so an Rng
+/// that is only forked from costs a word, not a full state. Copying it
+/// copies the engine state; pass by reference when the caller should
+/// observe the advanced stream.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed), seed_(seed) {}
@@ -63,10 +68,10 @@ class Rng {
   }
 
   /// Access the raw engine for use with std:: distributions.
-  std::mt19937_64& engine() { return engine_; }
+  LazyMt64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  LazyMt64 engine_;
   std::uint64_t seed_;
 };
 

@@ -79,9 +79,12 @@ echo "== bench_batch_eval --quick (detected SIMD level) =="
 "$bench_dir/bench/bench_batch_eval" --quick
 # The box solver certifies candidates as batch-executor lanes, so its
 # differential tests against the tree-walking certifier, the proven-UNSAT
-# memo tests and the campaign trajectory pins run at both levels as well.
+# memo tests and the campaign trajectory pins run at both levels as well,
+# together with the one-step query's bookkeeping: the lazy MT engine
+# against std::mt19937_64, dense-slot HC4 and the node-index substitute
+# against their pointer-map oracles, all optimized.
 cmake --build "$bench_dir" -j "$(nproc)" --target stcg_tests
-solver_filter='Solver*:*Certify*:*Memo*:*TrajectoryPin*'
+solver_filter='Solver*:*Certify*:*Memo*:*TrajectoryPin*:*LazyMt*:*Hc4*:*Subst*'
 echo "== solver/memo tests (STCG_SIMD=scalar) =="
 STCG_SIMD=scalar "$bench_dir/tests/stcg_tests" --gtest_filter="$solver_filter"
 echo "== solver/memo tests (detected SIMD level) =="
