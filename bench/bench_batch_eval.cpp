@@ -19,7 +19,7 @@
 //     instructions the early-exit masks retire vs skip.
 //   - interval refutation throughput (boxes/sec, B=1 vs B=8): candidate
 //     sub-boxes of the input domains judged against every branch
-//     constraint through the B-lane BatchIntervalTapeExecutor — the
+//     constraint through the interval tape executor at B lanes — the
 //     sub-box refutation layer of analysis::proveConstraintDeadFrom.
 //
 // Usage: bench_batch_eval [--quick] [--json PATH] [--seconds S]

@@ -1,15 +1,14 @@
 #include "analysis/interval_eval.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
+
+#include "interval/transfer.h"
 
 namespace stcg::analysis {
 
 using expr::Expr;
 using expr::ExprPtr;
 using expr::Op;
-using expr::Type;
 using interval::Interval;
 
 void IntervalEnv::set(expr::VarId id, Interval iv) { scalars_[id] = iv; }
@@ -46,137 +45,34 @@ std::vector<Interval> IntervalEvaluator::evalArray(const ExprPtr& e) {
 
 Interval IntervalEvaluator::scalarRec(const Expr* e) {
   if (auto it = memo_.find(e); it != memo_.end()) return it->second;
+  const auto arg = [&](std::size_t k) { return scalarRec(e->args[k].get()); };
   Interval out;
   switch (e->op) {
     case Op::kConst:
-      out = Interval::point(e->constVal.toReal());
+      out = interval::constI(e->constVal);
       break;
     case Op::kVar:
-      if (env_->has(e->var)) {
-        out = env_->get(e->var);
-      } else {
-        out = Interval(e->varLo, e->varHi);
-        if (e->type != Type::kReal) out = out.integralHull();
-      }
+      out = env_->has(e->var)
+                ? env_->get(e->var)
+                : interval::declaredDomain(e->type, e->varLo, e->varHi);
       break;
-    case Op::kNot:
-      out = notI(scalarRec(e->args[0].get()));
-      break;
-    case Op::kNeg:
-      out = negI(scalarRec(e->args[0].get()));
-      break;
-    case Op::kAbs:
-      out = absI(scalarRec(e->args[0].get()));
-      break;
-    case Op::kCast: {
-      const Interval a = scalarRec(e->args[0].get());
-      if (e->type == Type::kBool) {
-        if (a.isEmpty()) {
-          out = a;
-        } else if (a.isPoint()) {
-          out = a.lo() == 0.0 ? Interval::boolFalse() : Interval::boolTrue();
-        } else {
-          out = a.containsZero() ? Interval::boolUnknown()
-                                 : Interval::boolTrue();
-        }
-      } else if (e->type == Type::kInt) {
-        out = a.isEmpty()
-                  ? a
-                  : Interval(std::trunc(a.lo()), std::trunc(a.hi()));
-      } else {
-        out = a;
-      }
+    case Op::kIte: {  // lazy: a decided condition skips the other arm
+      const Interval c = arg(0);
+      out = interval::transferScalar(Op::kIte, e->type, c,
+                                     c.isFalse() ? Interval::empty() : arg(1),
+                                     c.isTrue() ? Interval::empty() : arg(2));
       break;
     }
-    case Op::kAdd:
-      out = addI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get()));
+    case Op::kSelect:
+      out = interval::selectI(arrayRec(e->args[0].get()), arg(1));
       break;
-    case Op::kSub:
-      out = subI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get()));
-      break;
-    case Op::kMul:
-      out = mulI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get()));
-      break;
-    case Op::kDiv:
-      out = divI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get()));
-      // Integer division truncates toward zero; the real-quotient interval
-      // does not contain the truncated values (1/4 is 0, not 0.25), so map
-      // the endpoints through trunc (monotone, hence sound).
-      if (e->type == Type::kInt && !out.isEmpty()) {
-        out = Interval(std::trunc(out.lo()), std::trunc(out.hi()));
-      }
-      break;
-    case Op::kMod:
-      out = modI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get()));
-      break;
-    case Op::kMin:
-      out = minI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get()));
-      break;
-    case Op::kMax:
-      out = maxI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get()));
-      break;
-    case Op::kLt:
-      out = ltI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get()));
-      break;
-    case Op::kLe:
-      out = leI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get()));
-      break;
-    case Op::kGt:
-      out = ltI(scalarRec(e->args[1].get()), scalarRec(e->args[0].get()));
-      break;
-    case Op::kGe:
-      out = leI(scalarRec(e->args[1].get()), scalarRec(e->args[0].get()));
-      break;
-    case Op::kEq:
-      out = eqI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get()));
-      break;
-    case Op::kNe:
-      out = notI(
-          eqI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get())));
-      break;
-    case Op::kAnd:
-      out = andI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get()));
-      break;
-    case Op::kOr:
-      out = orI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get()));
-      break;
-    case Op::kXor:
-      out = xorI(scalarRec(e->args[0].get()), scalarRec(e->args[1].get()));
-      break;
-    case Op::kIte: {
-      const Interval c = scalarRec(e->args[0].get());
-      if (c.isTrue()) {
-        out = scalarRec(e->args[1].get());
-      } else if (c.isFalse()) {
-        out = scalarRec(e->args[2].get());
-      } else {
-        out = scalarRec(e->args[1].get())
-                  .hull(scalarRec(e->args[2].get()));
-      }
+    default: {
+      const Interval a = arg(0);
+      out = interval::transferScalar(
+          e->op, e->type, a, e->args.size() > 1 ? arg(1) : Interval::empty(),
+          Interval::empty());
       break;
     }
-    case Op::kSelect: {
-      const auto arr = arrayRec(e->args[0].get());
-      Interval idx = scalarRec(e->args[1].get()).integralHull();
-      const auto n = static_cast<std::int64_t>(arr.size());
-      Interval acc = Interval::empty();
-      if (!idx.isEmpty() && n > 0) {
-        // Concrete semantics clamp out-of-range indices to the ends.
-        const auto lo = static_cast<std::int64_t>(
-            std::clamp(idx.lo(), 0.0, static_cast<double>(n - 1)));
-        const auto hi = static_cast<std::int64_t>(
-            std::clamp(idx.hi(), 0.0, static_cast<double>(n - 1)));
-        for (std::int64_t i = lo; i <= hi; ++i) {
-          acc = acc.hull(arr[static_cast<std::size_t>(i)]);
-        }
-      }
-      out = acc;
-      break;
-    }
-    default:
-      assert(false && "array node in scalar interval eval");
-      out = Interval::whole();
-      break;
   }
   memo_.emplace(e, out);
   return out;
@@ -187,53 +83,26 @@ std::vector<Interval> IntervalEvaluator::arrayRec(const Expr* e) {
   std::vector<Interval> out;
   switch (e->op) {
     case Op::kConstArray:
-      out.reserve(e->constArray.size());
-      for (const auto& s : e->constArray) {
-        out.push_back(Interval::point(s.toReal()));
-      }
+      interval::constArrayI(e->constArray, out);
       break;
     case Op::kVarArray:
       if (env_->hasArray(e->var)) {
         out = env_->getArray(e->var);
       } else {
-        out.assign(static_cast<std::size_t>(e->arraySize),
-                   Interval::whole());
+        interval::unboundArray(e->arraySize, out);
       }
       break;
-    case Op::kStore: {
+    case Op::kStore:
       out = arrayRec(e->args[0].get());
-      const Interval idx = scalarRec(e->args[1].get()).integralHull();
-      const Interval val = scalarRec(e->args[2].get());
-      const auto n = static_cast<std::int64_t>(out.size());
-      if (!idx.isEmpty() && n > 0) {
-        const auto lo = static_cast<std::int64_t>(
-            std::clamp(idx.lo(), 0.0, static_cast<double>(n - 1)));
-        const auto hi = static_cast<std::int64_t>(
-            std::clamp(idx.hi(), 0.0, static_cast<double>(n - 1)));
-        if (lo == hi) {
-          out[static_cast<std::size_t>(lo)] = val;  // definite write
-        } else {
-          for (std::int64_t i = lo; i <= hi; ++i) {
-            auto& slot = out[static_cast<std::size_t>(i)];
-            slot = slot.hull(val);  // may or may not be written
-          }
-        }
-      }
+      interval::storeI(out, scalarRec(e->args[1].get()),
+                       scalarRec(e->args[2].get()));
       break;
-    }
-    case Op::kIte: {
+    case Op::kIte: {  // lazy, as for scalars
       const Interval c = scalarRec(e->args[0].get());
-      if (c.isTrue()) {
-        out = arrayRec(e->args[1].get());
-      } else if (c.isFalse()) {
-        out = arrayRec(e->args[2].get());
-      } else {
-        out = arrayRec(e->args[1].get());
-        const auto other = arrayRec(e->args[2].get());
-        for (std::size_t i = 0; i < out.size() && i < other.size(); ++i) {
-          out[i] = out[i].hull(other[i]);
-        }
-      }
+      interval::iteArrayI(
+          c, c.isFalse() ? std::vector<Interval>{} : arrayRec(e->args[1].get()),
+          c.isTrue() ? std::vector<Interval>{} : arrayRec(e->args[2].get()),
+          out);
       break;
     }
     default:

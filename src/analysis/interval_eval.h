@@ -5,7 +5,9 @@
 // Unlike the HC4 contractor (whose variables live in a solver Box of
 // scalar inputs), this evaluator binds *any* variable — including
 // array-typed state leaves — to interval domains, so whole next-state
-// functions can be evaluated abstractly.
+// functions can be evaluated abstractly. The per-op rules are HC4's and
+// the interval tape executor's (interval/transfer.h); this class only
+// walks the DAG and binds variables.
 #pragma once
 
 #include <unordered_map>

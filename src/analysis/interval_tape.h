@@ -1,6 +1,7 @@
 // Interval-domain execution of a compiled expression tape — the abstract
-// counterpart of expr::TapeExecutor, mirroring IntervalEvaluator's per-op
-// transfer functions over the same flat instruction sequence.
+// counterpart of expr::TapeExecutor, applying the per-op rules of
+// interval/transfer.h (shared with IntervalEvaluator and HC4's forward
+// pass) over the same flat instruction sequence.
 //
 // The reachability fixpoint re-evaluates the same next-state DAG dozens of
 // times under changing interval environments; dead-branch / lint proofs
@@ -17,6 +18,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "analysis/interval_eval.h"
@@ -26,19 +28,9 @@
 
 namespace stcg::analysis {
 
-/// The interval transfer of one scalar-result tape instruction (every op
-/// except kSelect/kStore/array-kIte, which read array slots). Exactly the
-/// per-op logic IntervalTapeExecutor::exec applies — exposed so the
-/// optimizer's fold guard can replay a transfer on point operands and
-/// admit only point-exact folds. Unused operands may be passed as any
-/// interval (they are ignored).
-[[nodiscard]] interval::Interval intervalTransferScalar(
-    expr::Op op, expr::Type type, const interval::Interval& a,
-    const interval::Interval& b, const interval::Interval& c);
-
 /// Pass options for tapes consumed by IntervalTapeExecutor: restricts
 /// the pipeline to rewrites exact in the interval domain, with a fold
-/// guard that replays intervalTransferScalar on point operands and
+/// guard that replays interval::transferScalar on point operands and
 /// compares bits against the folded constant's interval image.
 [[nodiscard]] expr::TapePassOptions intervalSafePassOptions();
 
@@ -56,65 +48,36 @@ struct IntervalTapeBuild {
 [[nodiscard]] IntervalTapeBuild buildIntervalTape(
     const std::vector<expr::ExprPtr>& roots);
 
+/// Interval execution of a tape under `lanes` independent environments
+/// per run(): slots are laid out lane-major (`[slot * lanes + lane]`) with
+/// the instruction loop outside and the lane loop inside, so the op
+/// dispatch is paid once per instruction. One lane is the plain abstract
+/// evaluation (the reachability fixpoint); the sub-box refutation layer
+/// of analysis::proveConstraintDeadFrom binds one candidate sub-box per
+/// lane and refutes all of them in one sweep. Each lane's result depends
+/// only on its own environment.
 class IntervalTapeExecutor {
  public:
-  explicit IntervalTapeExecutor(std::shared_ptr<const expr::Tape> tape);
-
-  /// (Re)bind every tape variable: from `env` when bound there, else the
-  /// declared-domain default. Call before each run().
-  void bind(const IntervalEnv& env);
-
-  /// Execute the full tape over interval slots.
-  void run();
-
-  [[nodiscard]] const interval::Interval& scalar(expr::SlotRef r) const {
-    return scalars_[static_cast<std::size_t>(r.slot)];
-  }
-  [[nodiscard]] const std::vector<interval::Interval>& array(
-      expr::SlotRef r) const {
-    return arrays_[static_cast<std::size_t>(r.slot)];
-  }
-
-  [[nodiscard]] const expr::Tape& tape() const { return *tape_; }
-
- private:
-  void exec(const expr::TapeInstr& in);
-
-  std::shared_ptr<const expr::Tape> tape_;
-  std::vector<interval::Interval> scalars_;
-  std::vector<std::vector<interval::Interval>> arrays_;
-};
-
-/// B-lane interval execution: the same tape evaluated under `lanes`
-/// independent interval environments per run(), slots laid out lane-major
-/// (`[slot * lanes + lane]`) with the instruction loop outside and the
-/// lane loop inside — the abstract counterpart of expr::BatchTapeExecutor.
-/// The sub-box refutation layer of analysis::proveConstraintDeadFrom binds
-/// one candidate sub-box per lane and refutes all of them in one sweep;
-/// each lane's result is identical to IntervalTapeExecutor under that
-/// lane's environment (both delegate to intervalTransferScalar).
-class BatchIntervalTapeExecutor {
- public:
   /// `lanes` is clamped to >= 1. The tape is shared, never copied.
-  BatchIntervalTapeExecutor(std::shared_ptr<const expr::Tape> tape,
-                            int lanes);
+  explicit IntervalTapeExecutor(std::shared_ptr<const expr::Tape> tape,
+                                int lanes = 1);
 
   [[nodiscard]] int lanes() const { return lanes_; }
 
   /// (Re)bind every tape variable of `lane`: from `env` when bound there,
-  /// else the declared-domain default (IntervalTapeExecutor::bind, per
-  /// lane). Call for every lane before each run().
-  void bind(int lane, const IntervalEnv& env);
+  /// else the declared-domain default. Call for every lane before each
+  /// run().
+  void bind(const IntervalEnv& env, int lane = 0);
 
   /// Execute the full tape across all lanes.
   void run();
 
   [[nodiscard]] const interval::Interval& scalar(expr::SlotRef r,
-                                                 int lane) const {
+                                                 int lane = 0) const {
     return scalars_[idx(r.slot, lane)];
   }
   [[nodiscard]] const std::vector<interval::Interval>& array(
-      expr::SlotRef r, int lane) const {
+      expr::SlotRef r, int lane = 0) const {
     return arrays_[idx(r.slot, lane)];
   }
 
@@ -125,7 +88,6 @@ class BatchIntervalTapeExecutor {
     return static_cast<std::size_t>(slot) * static_cast<std::size_t>(lanes_) +
            static_cast<std::size_t>(lane);
   }
-  void exec(const expr::TapeInstr& in);
 
   std::shared_ptr<const expr::Tape> tape_;
   int lanes_ = 1;
@@ -133,21 +95,19 @@ class BatchIntervalTapeExecutor {
   std::vector<std::vector<interval::Interval>> arrays_;
 };
 
-/// Batch interval verdicts: compile all `roots` (scalar-typed) onto one
-/// CSE-shared tape, execute it once under `env`, and return one interval
-/// per root in order. Replaces N tree walks with one linear pass when many
-/// constraints are judged under the same environment (dead-branch and lint
-/// unreachability sweeps).
-[[nodiscard]] std::vector<interval::Interval> intervalVerdicts(
-    const std::vector<expr::ExprPtr>& roots, const IntervalEnv& env);
-
-/// Lane-parallel form: judge the same `roots` under every environment in
-/// `envs` with one tape build and one B-wide batched pass (B =
-/// envs.size()). out[e][i] is roots[i]'s verdict under envs[e], identical
-/// to intervalVerdicts(roots, envs[e])[i]. The workhorse of sub-box
-/// refutation: each environment is one candidate sub-box.
+/// Lane-parallel interval verdicts: compile all `roots` (scalar-typed)
+/// onto one CSE-shared tape and judge them under every environment in
+/// `envs` with one B-wide pass (B = envs.size()); out[e][i] is roots[i]'s
+/// interval under envs[e]. The workhorse of sub-box refutation: each
+/// environment is one candidate sub-box.
 [[nodiscard]] std::vector<std::vector<interval::Interval>>
 intervalVerdictsBatch(const std::vector<expr::ExprPtr>& roots,
-                      const std::vector<IntervalEnv>& envs);
+                      std::span<const IntervalEnv> envs);
+
+/// The one-environment case: one interval per root, in order. Replaces N
+/// tree walks with one linear pass when many constraints are judged under
+/// the same environment (dead-branch and lint unreachability sweeps).
+[[nodiscard]] std::vector<interval::Interval> intervalVerdicts(
+    const std::vector<expr::ExprPtr>& roots, const IntervalEnv& env);
 
 }  // namespace stcg::analysis

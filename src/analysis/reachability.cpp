@@ -7,6 +7,7 @@
 #include "expr/tape.h"
 #include "interval/box.h"
 #include "interval/hc4.h"
+#include "interval/transfer.h"
 #include "solver/solver.h"
 #include "util/strings.h"
 
@@ -21,7 +22,7 @@ std::vector<Interval> initDomains(const compile::StateVar& sv) {
   std::vector<Interval> out;
   out.reserve(static_cast<std::size_t>(sv.width));
   for (const auto& e : sv.init.elems()) {
-    out.push_back(Interval::point(e.toReal()));
+    out.push_back(interval::constI(e));
   }
   return out;
 }
@@ -196,9 +197,7 @@ std::vector<IntervalEnv> splitProofBox(const std::vector<expr::VarInfo>& vars,
   Box whole;
   whole.reserve(vars.size());
   for (const auto& v : vars) {
-    Interval iv(v.lo, v.hi);
-    if (v.type != expr::Type::kReal) iv = iv.integralHull();
-    whole.push_back(iv);
+    whole.push_back(interval::declaredDomain(v.type, v.lo, v.hi));
   }
   std::vector<Box> boxes{std::move(whole)};
   while (static_cast<int>(boxes.size()) < lanes) {

@@ -13,8 +13,9 @@
 //   - TapeExecutor (here): concrete Scalar slots, bit-identical to the
 //     tree Evaluator (same applyUnary/applyBinary/castTo calls in the same
 //     order, same guarded kDiv/kMod and clamped kSelect/kStore semantics).
-//   - analysis::IntervalTapeExecutor: interval slots, mirroring
-//     IntervalEvaluator (the abstract domain of the reachability pass).
+//   - analysis::IntervalTapeExecutor: interval slots, one or many lanes,
+//     by the per-op rules of interval/transfer.h that IntervalEvaluator
+//     and HC4 share (the abstract domain of the reachability pass).
 //   - solver::DistanceTape: a branch-distance overlay for local search.
 //
 // Incremental re-evaluation: finish() precomputes, per variable, the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "interval/transfer.h"
 #include "util/strings.h"
 
 namespace stcg::interval {
@@ -13,8 +14,8 @@ Box::Box(const std::vector<expr::VarInfo>& vars) : vars_(vars) {
   for (const auto& v : vars_) maxId = std::max(maxId, v.id);
   idToDim_.assign(static_cast<std::size_t>(maxId + 1), -1);
   for (std::size_t i = 0; i < vars_.size(); ++i) {
-    Interval dom(vars_[i].lo, vars_[i].hi);
-    if (vars_[i].type != expr::Type::kReal) dom = dom.integralHull();
+    Interval dom =
+        declaredDomain(vars_[i].type, vars_[i].lo, vars_[i].hi);
     if (vars_[i].type == expr::Type::kBool) {
       dom = dom.intersect(Interval(0.0, 1.0));
     }

@@ -1,12 +1,13 @@
 // HC4 (forward-backward) contraction of a box against a boolean constraint.
 //
 // Forward pass: evaluate an interval domain for every DAG node under the
-// current box. Backward pass: starting from "the root must be true", push
-// refined target intervals down through inverse operator rules, narrowing
-// variable domains where they are reached. Iterated to (approximate)
-// fixpoint. The contractor is sound: it never removes a point that could
-// satisfy the constraint, so an empty result proves unsatisfiability
-// within the box.
+// current box, by the per-op rules of interval/transfer.h that the
+// interval evaluator and tape executor share. Backward pass: starting
+// from "the root must be true", push refined target intervals down
+// through inverse operator rules, narrowing variable domains where they
+// are reached. Iterated to (approximate) fixpoint. The contractor is
+// sound: it never removes a point that could satisfy the constraint, so
+// an empty result proves unsatisfiability within the box.
 //
 // Memo layout: the constructor numbers the goal DAG once (dense node
 // indices, children as a flat index array), so each sweep's per-node
@@ -24,6 +25,7 @@
 
 #include "expr/expr.h"
 #include "interval/box.h"
+#include "interval/transfer.h"
 
 namespace stcg::interval {
 
@@ -47,6 +49,15 @@ class Hc4Contractor {
   /// `box` (no narrowing). Useful as a cheap infeasibility test.
   [[nodiscard]] Interval forwardEval(const Box& box);
 
+  /// The goal's distinct nodes, numbered by the constructor (node 0 is
+  /// the goal): every node the goal mentions, taken ite arms or not.
+  [[nodiscard]] int nodeCount() const {
+    return static_cast<int>(nodes_.size());
+  }
+  [[nodiscard]] const expr::Expr& node(int n) const {
+    return *nodes_[static_cast<std::size_t>(n)].e;
+  }
+
   /// Test seam: the sweep counter. Sweeps bump it before use; on wrap to
   /// 0 every stamp is cleared, so no slot of an earlier sweep can read
   /// as current.
@@ -54,8 +65,6 @@ class Hc4Contractor {
   void setEpochForTesting(std::uint64_t epoch) { epoch_ = epoch; }
 
  private:
-  using ArrayDomain = std::vector<Interval>;
-
   struct Node {
     const expr::Expr* e = nullptr;
     std::size_t firstKid = 0;  // e's args are nodes kids_[firstKid..]
@@ -76,9 +85,6 @@ class Hc4Contractor {
   // One forward/backward sweep. Returns kEmpty on proven infeasibility.
   ContractOutcome pass(Box& box);
 
-  [[nodiscard]] const expr::Expr& node(int n) const {
-    return *nodes_[static_cast<std::size_t>(n)].e;
-  }
   // Index of the k-th argument of node `n`.
   [[nodiscard]] int arg(int n, int k) const {
     return kids_[nodes_[static_cast<std::size_t>(n)].firstKid +

@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "expr/batch_tape.h"
-#include "expr/node_index.h"
 #include "expr/tape_verify.h"
 #include "interval/hc4.h"
 
@@ -45,36 +44,21 @@ Scalar scalarForVar(const VarInfo& info, double v) {
 
 namespace {
 
-/// Throw EvalError naming the first variable `goal` mentions that `vars`
-/// does not declare (every array variable counts: `vars` is scalar-only).
-/// This walk runs on every solve, so it tracks visited nodes only where
-/// a second visit is possible: a child whose use count is 1 has a single
-/// parent in this DAG (the walk holds the root, so no reference it counts
-/// can go away meanwhile) and is reached at most once.
-void requireDeclared(const ExprPtr& goal, const std::vector<VarInfo>& vars) {
-  expr::NodeIndex shared;
-  std::vector<const expr::Expr*> stack{goal.get()};
-  while (!stack.empty()) {
-    const expr::Expr* e = stack.back();
-    stack.pop_back();
-    if (e->op == expr::Op::kVar || e->op == expr::Op::kVarArray) {
-      const bool declared =
-          e->op == expr::Op::kVar &&
-          std::any_of(vars.begin(), vars.end(),
-                      [&](const VarInfo& v) { return v.id == e->var; });
-      if (!declared) {
-        throw expr::EvalError(
-            "BoxSolver::solve: goal mentions variable '" + e->varName +
-            "' (id " + std::to_string(e->var) + ") missing from vars");
-      }
-    }
-    for (const auto& a : e->args) {
-      if (a->args.empty() && a->op != expr::Op::kVar &&
-          a->op != expr::Op::kVarArray) {
-        continue;  // constants
-      }
-      if (a.use_count() > 1 && !shared.insert(a.get()).second) continue;
-      stack.push_back(a.get());
+/// Throw EvalError naming a variable the goal mentions that `vars` does
+/// not declare (every array variable counts: `vars` is scalar-only).
+void requireDeclared(const Hc4Contractor& goal,
+                     const std::vector<VarInfo>& vars) {
+  for (int n = 0; n < goal.nodeCount(); ++n) {
+    const expr::Expr& e = goal.node(n);
+    if (e.op != expr::Op::kVar && e.op != expr::Op::kVarArray) continue;
+    const bool declared =
+        e.op == expr::Op::kVar &&
+        std::any_of(vars.begin(), vars.end(),
+                    [&](const VarInfo& v) { return v.id == e.var; });
+    if (!declared) {
+      throw expr::EvalError(
+          "BoxSolver::solve: goal mentions variable '" + e.varName +
+          "' (id " + std::to_string(e.var) + ") missing from vars");
     }
   }
 }
@@ -181,7 +165,8 @@ SolveResult BoxSolver::solve(const ExprPtr& goal,
     throw expr::EvalError(
         "BoxSolver::solve: goal must be a scalar boolean expression");
   }
-  requireDeclared(goal, vars);
+  Hc4Contractor contractor(goal);
+  requireDeclared(contractor, vars);
   SolveResult result;
   Stopwatch watch;
   const Deadline deadline = Deadline::afterMillis(options_.timeBudgetMillis);
@@ -198,17 +183,13 @@ SolveResult BoxSolver::solve(const ExprPtr& goal,
     if (!goal->constVal.toBool()) return finish(SolveStatus::kUnsat);
     Env env;
     for (const auto& v : vars) {
-      const Interval d =
-          v.type == Type::kReal
-              ? Interval(v.lo, v.hi)
-              : Interval(v.lo, v.hi).integralHull();
+      const Interval d = interval::declaredDomain(v.type, v.lo, v.hi);
       env.set(v.id, scalarForVar(v, d.isEmpty() ? v.lo : d.mid()));
     }
     result.model = std::move(env);
     return finish(SolveStatus::kSat);
   }
 
-  Hc4Contractor contractor(goal);
   LaneCertifier certifier;
   const int candidates = std::max(0, 3 + options_.samplesPerBox);
   std::vector<double> points(static_cast<std::size_t>(candidates) *

@@ -426,6 +426,31 @@ std::optional<Campaign::SolveHit> Campaign::solveRound() {
   return hit;
 }
 
+template <class SeedRng>
+Campaign::OneStep Campaign::solveOneStep(const expr::ExprPtr& query,
+                                         const expr::Env& state,
+                                         SeedRng&& seedRng) const {
+  OneStep out;
+  // "Bring the model state value as constants into the model."
+  const expr::ExprPtr residual = expr::substitute(query, state);
+  if (residual->op == expr::Op::kConst && !residual->constVal.toBool()) {
+    // Folded to false: this state provably cannot reach the goal in
+    // one step.
+    out.status = solver::SolveStatus::kUnsat;
+    out.folded = true;
+    return out;
+  }
+  solver::SolveOptions so = opt_.solver;
+  so.batch = opt_.batch;
+  Rng rng = seedRng();
+  so.seed = static_cast<std::uint64_t>(rng.uniformInt(1, 1'000'000'000));
+  const auto res =
+      solver::solveWith(opt_.solverKind, residual, inputInfos_, so);
+  out.status = res.status;
+  if (res.sat()) out.input = inputsFromEnv(cm_, res.model);
+  return out;
+}
+
 /// Solve one grid cell. Hermetic: reads only round-immutable state and
 /// writes only `out` — safe to run from any pool lane.
 void Campaign::runSolveTask(const SolveTask& t, TaskOutcome& out) {
@@ -433,14 +458,16 @@ void Campaign::runSolveTask(const SolveTask& t, TaskOutcome& out) {
   const Goal& goal = goals_[static_cast<std::size_t>(t.goalIdx)];
   const bool wantTrace = trace_ != nullptr;
   const sim::StateSnapshot& state = cs_.tree.node(t.nodeId).state;
+  const auto traceAs = [&](const char* verdict) {
+    if (wantTrace) {
+      out.traceLine =
+          "solve " + goal.label + " on S" + std::to_string(t.nodeId) + verdict;
+    }
+  };
   const auto infeasible = [&](bool folded) {
     out.folded = folded;
     out.status = solver::SolveStatus::kUnsat;
-    if (wantTrace) {
-      out.traceLine = "solve " + goal.label + " on S" +
-                      std::to_string(t.nodeId) +
-                      (folded ? ": infeasible (state-folded)" : ": UNSAT");
-    }
+    traceAs(folded ? ": infeasible (state-folded)" : ": UNSAT");
   };
 
   if (const std::optional<bool> known = memo_.find(t.goalIdx, state)) {
@@ -448,39 +475,21 @@ void Campaign::runSolveTask(const SolveTask& t, TaskOutcome& out) {
     infeasible(*known);
     return;
   }
-  // "Bring the model state value as constants into the model."
-  const expr::ExprPtr residual =
-      expr::substitute(goal.pathConstraint, stateEnv(cm_, state));
-  if (residual->op == expr::Op::kConst && !residual->constVal.toBool()) {
-    // Folded to false: this state provably cannot reach the goal in
-    // one step.
-    infeasible(/*folded=*/true);
-    return;
-  }
-  solver::SolveOptions so = opt_.solver;
-  so.batch = opt_.batch;
-  Rng taskRng = rngRoot_.fork(kSolveStream)
-                    .fork(taskStream(cs_.round, t.goalIdx, t.nodeId));
-  so.seed = static_cast<std::uint64_t>(taskRng.uniformInt(1, 1'000'000'000));
-  const auto res =
-      solver::solveWith(opt_.solverKind, residual, inputInfos_, so);
-  out.status = res.status;
-  switch (res.status) {
+  OneStep r = solveOneStep(goal.pathConstraint, stateEnv(cm_, state), [&] {
+    return rngRoot_.fork(kSolveStream)
+        .fork(taskStream(cs_.round, t.goalIdx, t.nodeId));
+  });
+  out.status = r.status;
+  switch (r.status) {
     case solver::SolveStatus::kSat:
-      out.input = inputsFromEnv(cm_, res.model);
-      if (wantTrace) {
-        out.traceLine = "solve " + goal.label + " on S" +
-                        std::to_string(t.nodeId) + ": SAT";
-      }
+      out.input = std::move(r.input);
+      traceAs(": SAT");
       break;
     case solver::SolveStatus::kUnsat:
-      infeasible(/*folded=*/false);
+      infeasible(r.folded);
       break;
     case solver::SolveStatus::kUnknown:
-      if (wantTrace) {
-        out.traceLine = "solve " + goal.label + " on S" +
-                        std::to_string(t.nodeId) + ": UNKNOWN (budget)";
-      }
+      traceAs(": UNKNOWN (budget)");
       break;
   }
 }
@@ -566,29 +575,19 @@ void Campaign::tryMcdcPair(const SolveHit& hit, const Goal& goal) {
       pins.push_back(v ? d.conditions[c] : expr::notE(d.conditions[c]));
     }
   }
-  const expr::ExprPtr residual = expr::substitute(expr::andAll(pins), state);
   ++cs_.stats.solveCalls;
-  if (residual->op == expr::Op::kConst && !residual->constVal.toBool()) {
-    ++cs_.stats.solveUnsat;
-    return;
-  }
-  solver::SolveOptions so = opt_.solver;
-  so.batch = opt_.batch;
   // One cursor child per attempt that reaches the solver: the stream
   // position is the attempt ordinal, which the checkpoint persists.
-  Rng pairRng = cs_.mcdcStream.next();
-  so.seed = static_cast<std::uint64_t>(pairRng.uniformInt(1, 1'000'000'000));
-  const auto res =
-      solver::solveWith(opt_.solverKind, residual, inputInfos_, so);
-  if (res.status != solver::SolveStatus::kSat) {
-    res.status == solver::SolveStatus::kUnsat ? ++cs_.stats.solveUnsat
-                                              : ++cs_.stats.solveUnknown;
+  OneStep r = solveOneStep(expr::andAll(pins), state,
+                           [&] { return cs_.mcdcStream.next(); });
+  if (r.status != solver::SolveStatus::kSat) {
+    r.status == solver::SolveStatus::kUnsat ? ++cs_.stats.solveUnsat
+                                            : ++cs_.stats.solveUnknown;
     return;
   }
   ++cs_.stats.solveSat;
-  auto pairInput = inputsFromEnv(cm_, res.model);
-  cs_.library.push_back(pairInput);
-  executeSequence(hit.nodeId, {std::move(pairInput)}, TestOrigin::kSolved,
+  cs_.library.push_back(r.input);
+  executeSequence(hit.nodeId, {std::move(r.input)}, TestOrigin::kSolved,
                   goal.label + "-mcdc-pair");
 }
 

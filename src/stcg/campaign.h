@@ -201,9 +201,26 @@ class Campaign {
     std::string traceLine;
   };
 
+  /// What one one-step query came to (see solveOneStep()).
+  struct OneStep {
+    solver::SolveStatus status = solver::SolveStatus::kUnknown;
+    bool folded = false;     // residual folded to const false; no solver call
+    sim::InputVector input;  // populated on SAT
+  };
+
   void trace(const std::string& line);
   [[nodiscard]] bool allGoalsCovered() const;
   [[nodiscard]] double now() const;
+
+  /// The one-step query of a solve cell and of an MCDC pair: substitute
+  /// `state` into `query`; a residual that folds to false is UNSAT with
+  /// no solver call; otherwise solve it over the inputs, seeded from the
+  /// Rng `seedRng()` returns (called only then), and turn a model into
+  /// an input vector. Thread-safe when `seedRng` is.
+  template <class SeedRng>
+  [[nodiscard]] OneStep solveOneStep(const expr::ExprPtr& query,
+                                     const expr::Env& state,
+                                     SeedRng&& seedRng) const;
 
   // Algorithm 1: one solve round over the (uncovered goal × node) grid.
   [[nodiscard]] std::optional<SolveHit> solveRound();

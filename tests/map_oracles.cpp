@@ -1,6 +1,8 @@
 // The pointer-keyed hash-map implementations that the dense node-index
 // versions replaced (interval::Hc4Contractor, expr::substitute), kept
-// verbatim apart from names as differential oracles for the tests.
+// as differential oracles for the tests: verbatim apart from names,
+// except that HC4's forward pass applies the shared per-op interval
+// rules (interval/transfer.h) like the library does.
 #include "map_oracles.h"
 
 #include <algorithm>
@@ -8,6 +10,7 @@
 #include <cmath>
 
 #include "expr/builder.h"
+#include "interval/transfer.h"
 
 namespace stcg::testref {
 
@@ -73,145 +76,41 @@ ContractOutcome MapHc4Contractor::pass(Box& box) {
   return ContractOutcome::kShrunk;  // caller compares widths
 }
 
+// The per-op arithmetic is the shared interval::transferScalar /
+// selectI / storeI / iteArrayI: this oracle checks the memo layout, not
+// the interval semantics, which tests/test_interval_transfer.cpp checks
+// against the concrete evaluator.
 Interval MapHc4Contractor::forward(const Expr* e, const Box& box) {
   if (auto it = fwd_.find(e); it != fwd_.end()) return it->second;
+  const auto fa = [&](std::size_t k) {
+    return forward(e->args[k].get(), box);
+  };
   Interval out;
   switch (e->op) {
     case Op::kConst:
-      out = Interval::point(e->constVal.toReal());
+      out = constI(e->constVal);
       break;
-    case Op::kVar: {
-      Interval declared(e->varLo, e->varHi);
-      if (e->type != Type::kReal) declared = declared.integralHull();
-      out = box.domain(e->var).intersect(declared);
-      break;
-    }
-    case Op::kNot:
-      out = notI(forward(e->args[0].get(), box));
-      break;
-    case Op::kNeg:
-      out = negI(forward(e->args[0].get(), box));
-      break;
-    case Op::kAbs:
-      out = absI(forward(e->args[0].get(), box));
-      break;
-    case Op::kCast: {
-      Interval a = forward(e->args[0].get(), box);
-      if (e->type == Type::kBool) {
-        // Truthiness of a numeric: 0 -> false, nonzero -> true.
-        if (a.isEmpty()) {
-          out = a;
-        } else if (a.isPoint()) {
-          out = a.lo() == 0.0 ? Interval::boolFalse() : Interval::boolTrue();
-        } else {
-          out = a.containsZero() ? Interval::boolUnknown()
-                                 : Interval::boolTrue();
-        }
-      } else if (e->type == Type::kInt) {
-        // Truncation toward zero: conservative hull.
-        if (a.isEmpty()) {
-          out = a;
-        } else {
-          // trunc is monotone, so the endpoint truncations bound the image.
-          out = Interval(std::trunc(a.lo()), std::trunc(a.hi()));
-        }
-      } else {
-        out = a;
-      }
-      break;
-    }
-    case Op::kAdd:
-      out = addI(forward(e->args[0].get(), box), forward(e->args[1].get(), box));
-      break;
-    case Op::kSub:
-      out = subI(forward(e->args[0].get(), box), forward(e->args[1].get(), box));
-      break;
-    case Op::kMul:
-      out = mulI(forward(e->args[0].get(), box), forward(e->args[1].get(), box));
-      break;
-    case Op::kDiv:
-      out = divI(forward(e->args[0].get(), box), forward(e->args[1].get(), box));
-      // Integer division truncates toward zero: map the real-quotient
-      // interval through trunc (monotone, hence sound).
-      if (e->type == Type::kInt && !out.isEmpty()) {
-        out = Interval(std::trunc(out.lo()), std::trunc(out.hi()));
-      }
-      break;
-    case Op::kMod:
-      out = modI(forward(e->args[0].get(), box), forward(e->args[1].get(), box));
-      break;
-    case Op::kMin:
-      out = minI(forward(e->args[0].get(), box), forward(e->args[1].get(), box));
-      break;
-    case Op::kMax:
-      out = maxI(forward(e->args[0].get(), box), forward(e->args[1].get(), box));
-      break;
-    case Op::kLt:
-      out = ltI(forward(e->args[0].get(), box), forward(e->args[1].get(), box));
-      break;
-    case Op::kLe:
-      out = leI(forward(e->args[0].get(), box), forward(e->args[1].get(), box));
-      break;
-    case Op::kGt:
-      out = ltI(forward(e->args[1].get(), box), forward(e->args[0].get(), box));
-      break;
-    case Op::kGe:
-      out = leI(forward(e->args[1].get(), box), forward(e->args[0].get(), box));
-      break;
-    case Op::kEq:
-      out = eqI(forward(e->args[0].get(), box), forward(e->args[1].get(), box));
-      break;
-    case Op::kNe:
-      out = notI(
-          eqI(forward(e->args[0].get(), box), forward(e->args[1].get(), box)));
-      break;
-    case Op::kAnd:
-      out = andI(forward(e->args[0].get(), box), forward(e->args[1].get(), box));
-      break;
-    case Op::kOr:
-      out = orI(forward(e->args[0].get(), box), forward(e->args[1].get(), box));
-      break;
-    case Op::kXor:
-      out = xorI(forward(e->args[0].get(), box), forward(e->args[1].get(), box));
+    case Op::kVar:
+      out = box.domain(e->var).intersect(
+          declaredDomain(e->type, e->varLo, e->varHi));
       break;
     case Op::kIte: {
-      const Interval c = forward(e->args[0].get(), box);
-      if (c.isTrue()) {
-        out = forward(e->args[1].get(), box);
-      } else if (c.isFalse()) {
-        out = forward(e->args[2].get(), box);
-      } else {
-        out = forward(e->args[1].get(), box)
-                  .hull(forward(e->args[2].get(), box));
-      }
+      const Interval c = fa(0);
+      out = transferScalar(Op::kIte, e->type, c,
+                           c.isFalse() ? Interval::empty() : fa(1),
+                           c.isTrue() ? Interval::empty() : fa(2));
       break;
     }
-    case Op::kSelect: {
-      const ArrayDomain arr = forwardArray(e->args[0].get(), box);
-      Interval idx = forward(e->args[1].get(), box).integralHull();
-      const auto n = static_cast<std::int64_t>(arr.size());
-      // Index clamping in the concrete semantics.
-      idx = idx.intersect(Interval(0.0, static_cast<double>(n - 1)))
-                .hull(idx.lo() < 0 ? Interval::point(0.0) : Interval::empty())
-                .hull(idx.hi() >= static_cast<double>(n)
-                          ? Interval::point(static_cast<double>(n - 1))
-                          : Interval::empty());
-      Interval acc = Interval::empty();
-      if (!idx.isEmpty()) {
-        const auto lo = static_cast<std::int64_t>(std::max(0.0, idx.lo()));
-        const auto hi = static_cast<std::int64_t>(
-            std::min(static_cast<double>(n - 1), idx.hi()));
-        for (std::int64_t i = lo; i <= hi; ++i) {
-          acc = acc.hull(arr[static_cast<std::size_t>(i)]);
-        }
-      }
-      out = acc;
+    case Op::kSelect:
+      out = selectI(forwardArray(e->args[0].get(), box), fa(1));
+      break;
+    default: {
+      const Interval a = fa(0);
+      out = transferScalar(e->op, e->type, a,
+                           e->args.size() > 1 ? fa(1) : Interval::empty(),
+                           Interval::empty());
       break;
     }
-    default:
-      assert(false && "array-typed node reached scalar forward");
-      out = Interval::whole();
-      break;
   }
   fwd_.emplace(e, out);
   return out;
@@ -222,55 +121,23 @@ MapHc4Contractor::ArrayDomain MapHc4Contractor::forwardArray(
   if (auto it = fwdArray_.find(e); it != fwdArray_.end()) return it->second;
   ArrayDomain out;
   switch (e->op) {
-    case Op::kConstArray: {
-      out.reserve(e->constArray.size());
-      for (const auto& s : e->constArray) {
-        out.push_back(Interval::point(s.toReal()));
-      }
+    case Op::kConstArray:
+      constArrayI(e->constArray, out);
       break;
-    }
     case Op::kVarArray:
-      // Array-typed variables carry no box domain: unknown elementwise.
-      // (Reached by the dead-branch verifier, which solves constraints
-      // that still contain array state leaves.)
-      out.assign(static_cast<std::size_t>(e->arraySize), Interval::whole());
+      unboundArray(e->arraySize, out);
       break;
-    case Op::kStore: {
+    case Op::kStore:
       out = forwardArray(e->args[0].get(), box);
-      const Interval idx = forward(e->args[1].get(), box).integralHull();
-      const Interval val = forward(e->args[2].get(), box);
-      const auto n = static_cast<std::int64_t>(out.size());
-      std::int64_t lo = 0, hi = n - 1;
-      if (!idx.isEmpty()) {
-        lo = static_cast<std::int64_t>(std::max(0.0, idx.lo()));
-        hi = static_cast<std::int64_t>(
-            std::min(static_cast<double>(n - 1), idx.hi()));
-        if (idx.lo() < 0) lo = 0;
-        if (idx.hi() >= static_cast<double>(n)) hi = n - 1;
-      }
-      if (lo == hi) {
-        out[static_cast<std::size_t>(lo)] = val;  // definite write
-      } else {
-        for (std::int64_t i = lo; i <= hi; ++i) {
-          auto& slot = out[static_cast<std::size_t>(i)];
-          slot = slot.hull(val);  // may or may not be written
-        }
-      }
+      storeI(out, forward(e->args[1].get(), box),
+             forward(e->args[2].get(), box));
       break;
-    }
     case Op::kIte: {
       const Interval c = forward(e->args[0].get(), box);
-      if (c.isTrue()) {
-        out = forwardArray(e->args[1].get(), box);
-      } else if (c.isFalse()) {
-        out = forwardArray(e->args[2].get(), box);
-      } else {
-        out = forwardArray(e->args[1].get(), box);
-        const ArrayDomain other = forwardArray(e->args[2].get(), box);
-        for (std::size_t i = 0; i < out.size() && i < other.size(); ++i) {
-          out[i] = out[i].hull(other[i]);
-        }
-      }
+      const auto arm = [&](std::size_t k, bool skipped) {
+        return skipped ? ArrayDomain{} : forwardArray(e->args[k].get(), box);
+      };
+      iteArrayI(c, arm(1, c.isFalse()), arm(2, c.isTrue()), out);
       break;
     }
     default:

@@ -148,8 +148,9 @@ TEST(SubstNodeIndex, SubstituteKeepsDoublingTowerShared) {
   // (No toSexpr here: it renders the tree, 2^50 leaves.)
 }
 
-// requireDeclared's visited set is a NodeIndex: the walk must still find
-// an undeclared variable reached only through shared nodes, and must not
+// The solver's undeclared-variable check scans the nodes HC4's
+// constructor numbers through a NodeIndex: it must still find an
+// undeclared variable reached only through shared nodes, and must not
 // unfold a shared tower (the 40-deep one below has 2^40 paths). The
 // satisfiable queries use a shallow tower: HC4's backward pass walks
 // paths, not nodes.

@@ -82,7 +82,9 @@ echo "== bench_batch_eval --quick (detected SIMD level) =="
 # memo tests and the campaign trajectory pins run at both levels as well,
 # together with the one-step query's bookkeeping: the lazy MT engine
 # against std::mt19937_64, dense-slot HC4 and the node-index substitute
-# against their pointer-map oracles, all optimized.
+# against their pointer-map oracles, and HC4's forward pass against the
+# interval evaluator, the tape executor and concrete points
+# (Hc4TransferAgreement, Hc4StoreClamp), all optimized.
 cmake --build "$bench_dir" -j "$(nproc)" --target stcg_tests
 solver_filter='Solver*:*Certify*:*Memo*:*TrajectoryPin*:*LazyMt*:*Hc4*:*Subst*'
 echo "== solver/memo tests (STCG_SIMD=scalar) =="

@@ -6,8 +6,9 @@
 #      --engine tree --batch 1 and under --jobs 4 must export a
 #      byte-identical suite.
 #   2. SIGKILL fuzz — start a fixed-seed, round-capped campaign with
-#      --checkpoint, SIGKILL it at a random point, resume, repeat until
-#      a run completes; the exported suite must be byte-identical to an
+#      --checkpoint --checkpoint-every 1, SIGKILL it at a random point
+#      within 1.2x the time such a run takes uninterrupted, resume,
+#      repeat until a run completes; the exported suite must be byte-identical to an
 #      uninterrupted reference run. Kills land anywhere, including
 #      mid-save: the atomic tmp+rename write means the checkpoint on
 #      disk is always either the previous complete one or the new
@@ -48,15 +49,29 @@ out="$work/out.txt"
 common=("$model" --budget 600000 --seed "$seed" --max-rounds "$rounds")
 
 echo "-- reference run ($model, $rounds rounds, seed $seed) --"
-t0=$(date +%s%N)
 "$cli" "${common[@]}" --export "$ref" > /dev/null
-ref_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
-# Kill delays are drawn from [0, 1.2 * reference duration] so they land
-# mid-campaign regardless of build type or host speed; the tail past
-# 1.0x covers the kill-after-final-save case.
-max_delay_ms=$(( ref_ms * 6 / 5 ))
+
+# Every fuzz attempt saves a checkpoint each round, which makes a run
+# many times slower than the uninterrupted reference (each save writes
+# the whole campaign state). Kill delays are therefore drawn from
+# [0, 1.2 * a checkpoint-every-round run], so they land mid-campaign
+# regardless of build type or host speed; the tail past 1.0x covers the
+# kill-after-final-save case. That timed run must itself export the
+# reference suite.
+rm -f "$ck"
+t0=$(date +%s%N)
+"$cli" "${common[@]}" --checkpoint "$ck" --checkpoint-every 1 \
+  --export "$out" > /dev/null
+ck_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+if ! cmp -s "$ref" "$out"; then
+  echo "FAIL: suite with --checkpoint-every 1 differs from the reference" >&2
+  diff "$ref" "$out" | head -20 >&2
+  exit 1
+fi
+max_delay_ms=$(( ck_ms * 6 / 5 ))
 [ "$max_delay_ms" -lt 20 ] && max_delay_ms=20
-echo "   reference took ${ref_ms}ms; kill window [0, ${max_delay_ms}ms]"
+echo "   checkpointed run took ${ck_ms}ms, suite identical;" \
+  "kill window [0, ${max_delay_ms}ms]"
 
 # The reference trajectory must not depend on the engine, the replay
 # lane width or the solve lane count: the tree engine with scalar replay
@@ -100,10 +115,11 @@ for it in $(seq 1 "$iterations"); do
     # covering (kill arriving after the final save).
     status=0
     (
-      "$cli" "${common[@]}" --checkpoint "$ck" --resume --export "$out" \
-        > /dev/null 2> "$work/err.txt" &
+      "$cli" "${common[@]}" --checkpoint "$ck" --checkpoint-every 1 \
+        --resume --export "$out" > /dev/null 2> "$work/err.txt" &
       pid=$!
-      delay_ms=$((RANDOM % (max_delay_ms + 1)))
+      # Two RANDOMs: one spans only [0, 32767] ms.
+      delay_ms=$(( (RANDOM * 32768 + RANDOM) % (max_delay_ms + 1) ))
       sleep "$(awk -v ms="$delay_ms" 'BEGIN { printf "%.3f", ms / 1000 }')"
       kill -9 "$pid" 2> /dev/null || true
       wait "$pid"
