@@ -326,62 +326,69 @@ void BatchTapeExecutor::setVar(int lane, VarId id, const Scalar& v) {
   }
 }
 
-void BatchTapeExecutor::setVarReal(int lane, VarId id, double v) {
+std::pair<int, int> BatchTapeExecutor::varBindingRange(VarId id) const {
   const auto& bindings = tape_->varBindings();
-  auto it = std::lower_bound(
+  const auto first = std::lower_bound(
       bindings.begin(), bindings.end(), id,
       [](const TapeVarBinding& b, VarId want) { return b.var < want; });
-  for (; it != bindings.end() && it->var == id; ++it) {
-    // Payload of Scalar::r(v).castTo(it->type), computed directly.
-    std::uint64_t bits = 0;
-    switch (it->type) {
-      case Type::kReal: bits = realBits(v); break;
-      case Type::kInt: bits = static_cast<std::uint64_t>(realToInt(v)); break;
-      case Type::kBool: bits = v != 0.0 ? 1 : 0; break;
-    }
-    vals_[idx(it->slot, lane)] = bits;
-    varBound_[static_cast<std::size_t>(it - bindings.begin()) *
-                  static_cast<std::size_t>(lanes_) +
-              static_cast<std::size_t>(lane)] = true;
+  auto last = first;
+  while (last != bindings.end() && last->var == id) ++last;
+  return {static_cast<int>(first - bindings.begin()),
+          static_cast<int>(last - bindings.begin())};
+}
+
+void BatchTapeExecutor::setBindingBits(int lane, int binding,
+                                       std::uint64_t bits) {
+  const auto b = static_cast<std::size_t>(binding);
+  vals_[idx(tape_->varBindings()[b].slot, lane)] = bits;
+  varBound_[b * static_cast<std::size_t>(lanes_) +
+            static_cast<std::size_t>(lane)] = true;
+}
+
+void BatchTapeExecutor::setBindingReal(int lane, int binding, double v) {
+  // Payload of Scalar::r(v).castTo(binding type), computed directly.
+  std::uint64_t bits = 0;
+  switch (tape_->varBindings()[static_cast<std::size_t>(binding)].type) {
+    case Type::kReal: bits = realBits(v); break;
+    case Type::kInt: bits = static_cast<std::uint64_t>(realToInt(v)); break;
+    case Type::kBool: bits = v != 0.0 ? 1 : 0; break;
   }
+  setBindingBits(lane, binding, bits);
+}
+
+void BatchTapeExecutor::setBindingInt(int lane, int binding, std::int64_t v) {
+  std::uint64_t bits = 0;
+  switch (tape_->varBindings()[static_cast<std::size_t>(binding)].type) {
+    case Type::kInt: bits = static_cast<std::uint64_t>(v); break;
+    case Type::kReal: bits = realBits(static_cast<double>(v)); break;
+    case Type::kBool: bits = v != 0 ? 1 : 0; break;
+  }
+  setBindingBits(lane, binding, bits);
+}
+
+void BatchTapeExecutor::setBindingBool(int lane, int binding, bool v) {
+  std::uint64_t bits = 0;
+  switch (tape_->varBindings()[static_cast<std::size_t>(binding)].type) {
+    case Type::kBool:
+    case Type::kInt: bits = v ? 1 : 0; break;
+    case Type::kReal: bits = realBits(v ? 1.0 : 0.0); break;
+  }
+  setBindingBits(lane, binding, bits);
+}
+
+void BatchTapeExecutor::setVarReal(int lane, VarId id, double v) {
+  const auto [first, last] = varBindingRange(id);
+  for (int b = first; b < last; ++b) setBindingReal(lane, b, v);
 }
 
 void BatchTapeExecutor::setVarInt(int lane, VarId id, std::int64_t v) {
-  const auto& bindings = tape_->varBindings();
-  auto it = std::lower_bound(
-      bindings.begin(), bindings.end(), id,
-      [](const TapeVarBinding& b, VarId want) { return b.var < want; });
-  for (; it != bindings.end() && it->var == id; ++it) {
-    std::uint64_t bits = 0;
-    switch (it->type) {
-      case Type::kInt: bits = static_cast<std::uint64_t>(v); break;
-      case Type::kReal: bits = realBits(static_cast<double>(v)); break;
-      case Type::kBool: bits = v != 0 ? 1 : 0; break;
-    }
-    vals_[idx(it->slot, lane)] = bits;
-    varBound_[static_cast<std::size_t>(it - bindings.begin()) *
-                  static_cast<std::size_t>(lanes_) +
-              static_cast<std::size_t>(lane)] = true;
-  }
+  const auto [first, last] = varBindingRange(id);
+  for (int b = first; b < last; ++b) setBindingInt(lane, b, v);
 }
 
 void BatchTapeExecutor::setVarBool(int lane, VarId id, bool v) {
-  const auto& bindings = tape_->varBindings();
-  auto it = std::lower_bound(
-      bindings.begin(), bindings.end(), id,
-      [](const TapeVarBinding& b, VarId want) { return b.var < want; });
-  for (; it != bindings.end() && it->var == id; ++it) {
-    std::uint64_t bits = 0;
-    switch (it->type) {
-      case Type::kBool:
-      case Type::kInt: bits = v ? 1 : 0; break;
-      case Type::kReal: bits = realBits(v ? 1.0 : 0.0); break;
-    }
-    vals_[idx(it->slot, lane)] = bits;
-    varBound_[static_cast<std::size_t>(it - bindings.begin()) *
-                  static_cast<std::size_t>(lanes_) +
-              static_cast<std::size_t>(lane)] = true;
-  }
+  const auto [first, last] = varBindingRange(id);
+  for (int b = first; b < last; ++b) setBindingBool(lane, b, v);
 }
 
 void BatchTapeExecutor::setArrayVar(int lane, VarId id,

@@ -56,6 +56,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "expr/simd.h"
@@ -106,6 +107,15 @@ class BatchTapeExecutor {
   void setVarReal(int lane, VarId id, double v);
   void setVarInt(int lane, VarId id, std::int64_t v);
   void setVarBool(int lane, VarId id, bool v);
+  /// The entries [first, last) of tape().varBindings() that bind `id`
+  /// (empty when the tape does not read it). A caller binding the same
+  /// variables lane after lane resolves them once and binds through the
+  /// setBinding* forms below, which equal setVarReal/Int/Bool restricted
+  /// to one binding.
+  [[nodiscard]] std::pair<int, int> varBindingRange(VarId id) const;
+  void setBindingReal(int lane, int binding, double v);
+  void setBindingInt(int lane, int binding, std::int64_t v);
+  void setBindingBool(int lane, int binding, bool v);
   /// Bind an array variable in one lane; elements stay uncast.
   void setArrayVar(int lane, VarId id, const std::vector<Scalar>& v);
   /// Bind an array variable identically in EVERY lane: each element is
@@ -225,6 +235,7 @@ class BatchTapeExecutor {
 
   [[nodiscard]] Scalar loadScalar(std::int32_t slot, int lane) const;
   void storeScalar(std::int32_t slot, int lane, const Scalar& s);
+  void setBindingBits(int lane, int binding, std::uint64_t bits);
 
   void planeEnsureCap(ArrayPlane& p, std::int32_t elems);
   /// Fill the tag plane with the current uniform type and flip to mixed.

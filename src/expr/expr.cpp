@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "expr/node_index.h"
 #include "util/strings.h"
 
 namespace stcg::expr {
@@ -112,13 +113,6 @@ std::string Expr::toString() const {
 
 namespace {
 
-void collectVarsRec(const Expr* e, std::unordered_set<const Expr*>& seen,
-                    std::unordered_set<VarId>& vars) {
-  if (!seen.insert(e).second) return;
-  if (e->op == Op::kVar || e->op == Op::kVarArray) vars.insert(e->var);
-  for (const auto& a : e->args) collectVarsRec(a.get(), seen, vars);
-}
-
 void dagSizeRec(const Expr* e, std::unordered_set<const Expr*>& seen) {
   if (!seen.insert(e).second) return;
   for (const auto& a : e->args) dagSizeRec(a.get(), seen);
@@ -127,11 +121,21 @@ void dagSizeRec(const Expr* e, std::unordered_set<const Expr*>& seen) {
 }  // namespace
 
 std::vector<VarId> collectVars(const ExprPtr& e) {
-  std::unordered_set<const Expr*> seen;
-  std::unordered_set<VarId> vars;
-  collectVarsRec(e.get(), seen, vars);
-  std::vector<VarId> out(vars.begin(), vars.end());
+  // A flat visited index and an explicit stack: no allocation per node.
+  NodeIndex seen;
+  seen.insert(e.get());
+  std::vector<const Expr*> stack{e.get()};
+  std::vector<VarId> out;
+  while (!stack.empty()) {
+    const Expr* x = stack.back();
+    stack.pop_back();
+    if (x->op == Op::kVar || x->op == Op::kVarArray) out.push_back(x->var);
+    for (const auto& a : x->args) {
+      if (seen.insert(a.get()).second) stack.push_back(a.get());
+    }
+  }
   std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

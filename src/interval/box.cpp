@@ -8,25 +8,38 @@
 
 namespace stcg::interval {
 
-Box::Box(const std::vector<expr::VarInfo>& vars) : vars_(vars) {
-  domains_.reserve(vars_.size());
+namespace {
+const std::vector<expr::VarInfo> kNoVars;
+}  // namespace
+
+const std::vector<expr::VarInfo>& Box::vars() const {
+  return layout_ ? layout_->vars : kNoVars;
+}
+
+Box::Box(const std::vector<expr::VarInfo>& vars) {
+  auto layout = std::make_shared<Layout>();
+  layout->vars = vars;
+  domains_.reserve(vars.size());
   expr::VarId maxId = -1;
-  for (const auto& v : vars_) maxId = std::max(maxId, v.id);
-  idToDim_.assign(static_cast<std::size_t>(maxId + 1), -1);
-  for (std::size_t i = 0; i < vars_.size(); ++i) {
-    Interval dom =
-        declaredDomain(vars_[i].type, vars_[i].lo, vars_[i].hi);
-    if (vars_[i].type == expr::Type::kBool) {
+  for (const auto& v : vars) maxId = std::max(maxId, v.id);
+  layout->idToDim.assign(static_cast<std::size_t>(maxId + 1), -1);
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    Interval dom = declaredDomain(vars[i].type, vars[i].lo, vars[i].hi);
+    if (vars[i].type == expr::Type::kBool) {
       dom = dom.intersect(Interval(0.0, 1.0));
     }
     domains_.push_back(dom);
-    idToDim_[static_cast<std::size_t>(vars_[i].id)] = static_cast<int>(i);
+    layout->idToDim[static_cast<std::size_t>(vars[i].id)] =
+        static_cast<int>(i);
   }
+  layout_ = std::move(layout);
 }
 
 int Box::dimOf(expr::VarId id) const {
-  if (id < 0 || static_cast<std::size_t>(id) >= idToDim_.size()) return -1;
-  return idToDim_[static_cast<std::size_t>(id)];
+  if (!layout_) return -1;
+  const std::vector<int>& map = layout_->idToDim;
+  if (id < 0 || static_cast<std::size_t>(id) >= map.size()) return -1;
+  return map[static_cast<std::size_t>(id)];
 }
 
 Interval Box::domain(expr::VarId id) const {
@@ -36,7 +49,7 @@ Interval Box::domain(expr::VarId id) const {
 }
 
 bool Box::isDiscrete(std::size_t dim) const {
-  return vars_[dim].type != expr::Type::kReal;
+  return layout_->vars[dim].type != expr::Type::kReal;
 }
 
 bool Box::narrow(expr::VarId id, const Interval& iv) {
@@ -94,9 +107,9 @@ double Box::totalWidth() const {
 
 std::string Box::toString() const {
   std::vector<std::string> parts;
-  parts.reserve(vars_.size());
-  for (std::size_t i = 0; i < vars_.size(); ++i) {
-    parts.push_back(vars_[i].name + "=" + domains_[i].toString());
+  parts.reserve(dims());
+  for (std::size_t i = 0; i < dims(); ++i) {
+    parts.push_back(vars()[i].name + "=" + domains_[i].toString());
   }
   return "{" + join(parts, ", ") + "}";
 }

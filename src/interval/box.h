@@ -2,8 +2,13 @@
 //
 // The solver searches boxes; HC4 contracts them. Integer- and bool-typed
 // variables keep integral endpoints at all times.
+//
+// A box is a shared, immutable layout (the variable descriptors and the
+// id -> dimension map, fixed at construction) plus its own domains, so
+// copying a box to split it copies only the domains.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "expr/expr.h"
@@ -19,10 +24,10 @@ class Box {
   /// domain [lo, hi] (integral-hulled for int/bool variables).
   explicit Box(const std::vector<expr::VarInfo>& vars);
 
-  [[nodiscard]] const std::vector<expr::VarInfo>& vars() const {
-    return vars_;
-  }
-  [[nodiscard]] std::size_t dims() const { return vars_.size(); }
+  /// The variable descriptors; empty for a default-constructed or
+  /// moved-from box, which reads as zero-dimensional.
+  [[nodiscard]] const std::vector<expr::VarInfo>& vars() const;
+  [[nodiscard]] std::size_t dims() const { return domains_.size(); }
 
   /// Domain of variable `id`. Whole() for unknown ids (conservative).
   [[nodiscard]] Interval domain(expr::VarId id) const;
@@ -50,9 +55,12 @@ class Box {
   [[nodiscard]] bool isDiscrete(std::size_t dim) const;
   [[nodiscard]] int dimOf(expr::VarId id) const;
 
-  std::vector<expr::VarInfo> vars_;
+  struct Layout {
+    std::vector<expr::VarInfo> vars;
+    std::vector<int> idToDim;  // VarId -> dimension index or -1
+  };
+  std::shared_ptr<const Layout> layout_;  // null: zero dimensions
   std::vector<Interval> domains_;
-  std::vector<int> idToDim_;  // VarId -> dimension index or -1
 };
 
 }  // namespace stcg::interval

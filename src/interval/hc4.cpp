@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "expr/node_index.h"
 #include "interval/transfer.h"
@@ -24,6 +25,11 @@ constexpr double kHuge = 1e300;
 double strictBelow(double x, Type t) {
   if (t == Type::kReal) return x;  // closed approximation, still sound
   return std::ceil(x) - 1.0;
+}
+
+bool sameBits(const Interval& a, const Interval& b) {
+  const double w[] = {a.lo(), a.hi(), b.lo(), b.hi()};
+  return std::memcmp(w, w + 2, 2 * sizeof(double)) == 0;
 }
 
 double strictAbove(double x, Type t) {
@@ -49,8 +55,9 @@ Hc4Contractor::Hc4Contractor(ExprPtr goal) : goal_(std::move(goal)) {
   kids_.reserve(2 * kTypicalNodes);
   nodes_.push_back({goal_.get(), 0});
   bool anyArray = false;
+  std::int32_t sharedCount = 0;
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    nodes_[n].firstKid = kids_.size();
+    nodes_[n].firstKid = static_cast<std::uint32_t>(kids_.size());
     for (const auto& a : nodes_[n].e->args) {
       const int next = static_cast<int>(nodes_.size());
       int k = next;
@@ -62,11 +69,15 @@ Hc4Contractor::Hc4Contractor(ExprPtr goal) : goal_(std::move(goal)) {
       if (k == next) {
         nodes_.push_back({a.get(), 0});
         anyArray = anyArray || a->isArray();
+      } else if (nodes_[static_cast<std::size_t>(k)].target < 0) {
+        // A second parent: only such nodes get a backward target slot.
+        nodes_[static_cast<std::size_t>(k)].target = sharedCount++;
       }
       kids_.push_back(k);
     }
   }
   fwd_.resize(nodes_.size());
+  targets_.resize(static_cast<std::size_t>(sharedCount));
   // Array slots only where forwardArray can be reached (state folding
   // leaves most residuals scalar).
   if (anyArray) fwdArray_.resize(nodes_.size());
@@ -75,6 +86,7 @@ Hc4Contractor::Hc4Contractor(ExprPtr goal) : goal_(std::move(goal)) {
 void Hc4Contractor::nextEpoch() {
   if (++epoch_ != 0) return;
   for (auto& s : fwd_) s.stamp = 0;
+  for (auto& s : targets_) s.stamp = 0;
   for (auto& s : fwdArray_) s.stamp = 0;
   epoch_ = 1;
 }
@@ -185,6 +197,12 @@ const ArrayDomain& Hc4Contractor::forwardArray(int n, const Box& box) {
 }
 
 bool Hc4Contractor::backward(int n, Interval target, Box& box) {
+  if (const std::int32_t t = nodes_[static_cast<std::size_t>(n)].target;
+      t >= 0) {
+    TargetSlot& last = targets_[static_cast<std::size_t>(t)];
+    if (last.stamp == epoch_ && sameBits(last.target, target)) return true;
+    last = {target, epoch_};
+  }
   const Expr* e = nodes_[static_cast<std::size_t>(n)].e;
   const Interval self = fwdOf(n);
   target = target.intersect(self);

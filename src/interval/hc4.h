@@ -18,6 +18,18 @@
 // decided evaluates only the taken arm — and an unstamped slot reads as
 // the whole line in the backward pass, exactly as an absent map entry
 // did, so the contracted boxes do not depend on the memo layout.
+//
+// The backward pass recurses along paths, so a node shared by k parents
+// can be reached k times per sweep (2^k on an `s + s` tower). Each node
+// with two or more parents keeps the last target it was narrowed toward
+// in a slot of its own, stamped with the epoch like its forward slot,
+// and a call that reaches it again in the same sweep with a bit-identical
+// target returns at once: every target below it is computed from that
+// target and from forward domains the sweep never changes, so the repeat
+// would re-apply the same intersections the first call already made (and
+// that call returned true, or the sweep would have stopped). A node with
+// one parent is reached again only through a parent call that was not
+// skipped.
 #pragma once
 
 #include <cstdint>
@@ -67,11 +79,17 @@ class Hc4Contractor {
  private:
   struct Node {
     const expr::Expr* e = nullptr;
-    std::size_t firstKid = 0;  // e's args are nodes kids_[firstKid..]
+    std::uint32_t firstKid = 0;  // e's args are nodes kids_[firstKid..]
+    std::int32_t target = -1;    // its targets_ slot if it has 2+ parents
   };
   // Per-node forward memo; `value` is current iff stamp == epoch_.
   struct ScalarSlot {
     Interval value;
+    std::uint64_t stamp = 0;
+  };
+  // A shared node's last backward target; current iff stamp == epoch_.
+  struct TargetSlot {
+    Interval target;
     std::uint64_t stamp = 0;
   };
   struct ArraySlot {
@@ -109,6 +127,7 @@ class Hc4Contractor {
   std::vector<int> kids_;
   std::vector<ScalarSlot> fwd_;
   std::vector<ArraySlot> fwdArray_;
+  std::vector<TargetSlot> targets_;
   std::uint64_t epoch_ = 0;
 };
 

@@ -381,6 +381,7 @@ BatchDistanceTape::BatchDistanceTape(const ExprPtr& goal,
   BuiltDistance built = buildOptimizedDistance(goal);
   prog_ = std::move(built.prog);
   exec_.emplace(std::move(built.tape), lanes);
+  binder_.emplace(*exec_, vars_);
   kern_ = &expr::laneKernelsFor(exec_->simdLevel());
   const auto B = static_cast<std::size_t>(exec_->lanes());
   dist_.resize(prog_.slotCount() * B);
@@ -412,7 +413,7 @@ BatchDistanceTape::BatchDistanceTape(const ExprPtr& goal,
 }
 
 void BatchDistanceTape::setPoint(int lane, const std::vector<double>& point) {
-  bindPoint(*exec_, lane, vars_, point.data());
+  binder_->bind(*exec_, lane, point.data());
 }
 
 void BatchDistanceTape::overlayInstr(const DistanceProgram::Instr& in) {

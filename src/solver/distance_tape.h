@@ -35,6 +35,7 @@
 #include "expr/jit.h"
 #include "expr/tape.h"
 #include "expr/tape_passes.h"
+#include "solver/solver.h"
 
 namespace stcg::solver {
 
@@ -176,6 +177,7 @@ class BatchDistanceTape {
   std::vector<expr::VarInfo> vars_;
   DistanceProgram prog_;
   std::optional<expr::BatchTapeExecutor> exec_;
+  std::optional<PointBinder> binder_;  // vars_ on exec_'s tape
   const expr::LaneKernels* kern_ = nullptr;  // same level as exec_
   util::AlignedVec<double> dist_;  // [slot * lanes + lane]
   util::AlignedVec<double> va_, vb_;      // lane-wide kCmp operand scratch

@@ -63,62 +63,75 @@ void requireDeclared(const Hc4Contractor& goal,
   }
 }
 
-/// Certifies a box's candidate points as the lanes of one pass over the
-/// goal's tape, compiled by the first call.
+/// Certifies candidate points as the lanes of one pass over the goal's
+/// tape, compiled by the first call.
 class LaneCertifier {
  public:
-  /// Index of the first of `count` candidates at which `goal` is true, or
-  /// -1. Candidate k is row k of `points`: one raw draw per var of `vars`
-  /// (discrete dimensions already rounded), bound through bindPoint.
-  /// `goal`, `vars` and `count` must not change between calls.
-  int firstTrue(const ExprPtr& goal, const std::vector<VarInfo>& vars,
-                const double* points, int count) {
-    if (count <= 0) return -1;
-    if (!lanes_) {
-      expr::TapeBuilder b;
-      root_ = b.addRoot(goal);
-      std::shared_ptr<const expr::Tape> tape = b.finish();
-      expr::maybeRequireVerifiedTape(*tape, "BoxSolver");
-      lanes_.emplace(std::move(tape), count);
-      truth_.resize(static_cast<std::size_t>(count));
+  LaneCertifier(const ExprPtr& goal, const std::vector<VarInfo>& vars,
+                int lanes)
+      : goal_(goal), vars_(vars), lanes_(lanes) {}
+
+  /// Index of the first of the lanes() candidates at which the goal is
+  /// true, or -1. Candidate k is row k of `points`: one raw draw per var
+  /// (discrete dimensions already rounded).
+  int firstTrue(const double* points) {
+    if (lanes_ <= 0) return -1;
+    if (!ex_) compile();
+    for (int k = 0; k < lanes_; ++k) {
+      binder_->bind(*ex_, k,
+                    points + static_cast<std::size_t>(k) * vars_.size());
     }
-    for (int k = 0; k < count; ++k) {
-      bindPoint(*lanes_, k, vars,
-                points + static_cast<std::size_t>(k) * vars.size());
-    }
-    lanes_->run();
-    lanes_->readBools(root_, truth_.data());
-    for (int k = 0; k < count; ++k) {
+    ex_->run();
+    ex_->readBools(root_, truth_.data());
+    for (int k = 0; k < lanes_; ++k) {
       if (truth_[static_cast<std::size_t>(k)] != 0) return k;
     }
     return -1;
   }
 
  private:
-  std::optional<expr::BatchTapeExecutor> lanes_;
+  void compile() {
+    expr::TapeBuilder b;
+    root_ = b.addRoot(goal_);
+    std::shared_ptr<const expr::Tape> tape = b.finish();
+    expr::maybeRequireVerifiedTape(*tape, "BoxSolver");
+    ex_.emplace(std::move(tape), lanes_);
+    binder_.emplace(*ex_, vars_);
+    truth_.resize(static_cast<std::size_t>(lanes_));
+  }
+
+  const ExprPtr& goal_;
+  const std::vector<VarInfo>& vars_;
+  int lanes_;
+  std::optional<expr::BatchTapeExecutor> ex_;
+  std::optional<PointBinder> binder_;
   expr::SlotRef root_;
   std::vector<std::uint64_t> truth_;
 };
 
 }  // namespace
 
-void bindPoint(expr::BatchTapeExecutor& ex, int lane,
-               const std::vector<VarInfo>& vars, const double* point) {
-  // The typed binds apply scalarForVar's coercion chain (r/i/b
-  // construction, then the binding-type cast) directly on the payload.
-  for (std::size_t i = 0; i < vars.size(); ++i) {
-    const VarInfo& v = vars[i];
-    switch (v.type) {
-      case Type::kReal:
-        ex.setVarReal(lane, v.id, point[i]);
-        break;
+PointBinder::PointBinder(const expr::BatchTapeExecutor& ex,
+                         const std::vector<VarInfo>& vars) {
+  for (std::size_t d = 0; d < vars.size(); ++d) {
+    const auto [first, last] = ex.varBindingRange(vars[d].id);
+    for (int k = first; k < last; ++k) {
+      binds_.push_back({d, k, vars[d].type});
+    }
+  }
+}
+
+void PointBinder::bind(expr::BatchTapeExecutor& ex, int lane,
+                       const double* point) const {
+  for (const Bind& b : binds_) {
+    const double x = point[b.dim];
+    switch (b.type) {
+      case Type::kReal: ex.setBindingReal(lane, b.binding, x); break;
       case Type::kInt:
-        ex.setVarInt(lane, v.id,
-                     static_cast<std::int64_t>(std::llround(point[i])));
+        ex.setBindingInt(lane, b.binding,
+                         static_cast<std::int64_t>(std::llround(x)));
         break;
-      case Type::kBool:
-        ex.setVarBool(lane, v.id, point[i] >= 0.5);
-        break;
+      case Type::kBool: ex.setBindingBool(lane, b.binding, x >= 0.5); break;
     }
   }
 }
@@ -180,6 +193,7 @@ SolveResult BoxSolver::solve(const ExprPtr& goal,
 
   // Constant goals decide immediately.
   if (goal->op == expr::Op::kConst) {
+    result.seedFree = true;
     if (!goal->constVal.toBool()) return finish(SolveStatus::kUnsat);
     Env env;
     for (const auto& v : vars) {
@@ -190,13 +204,14 @@ SolveResult BoxSolver::solve(const ExprPtr& goal,
     return finish(SolveStatus::kSat);
   }
 
-  LaneCertifier certifier;
   const int candidates = std::max(0, 3 + options_.samplesPerBox);
+  LaneCertifier certifier(goal, vars, candidates);
   std::vector<double> points(static_cast<std::size_t>(candidates) *
                              vars.size());
   std::deque<Box> work;
   work.emplace_back(vars);
   bool exhaustive = true;  // whether every refuted region was proven empty
+  bool drew = false;       // whether a certified candidate was a random draw
 
   while (!work.empty()) {
     if (deadline.expired() ||
@@ -222,9 +237,6 @@ SolveResult BoxSolver::solve(const ExprPtr& goal,
     const auto row = [&](int k) {
       return points.data() + static_cast<std::size_t>(k) * vars.size();
     };
-    const auto certify = [&] {
-      return certifier.firstTrue(goal, vars, points.data(), candidates);
-    };
     int win = -1;
     int drawn = 0;
     if (result.stats.boxesProcessed == 1 && candidates > 3) {
@@ -234,13 +246,14 @@ SolveResult BoxSolver::solve(const ExprPtr& goal,
       for (int k = 3; k < candidates; ++k) {
         std::copy(row(2), row(3), row(k));
       }
-      win = certify();
+      win = certifier.firstTrue(points.data());
     }
     if (win < 0) {
       for (int k = drawn; k < candidates; ++k) {
         samplePoint(box, rng, /*corners=*/k < 3, k, row(k));
       }
-      win = certify();
+      drew = drew || candidates > 3;
+      win = certifier.firstTrue(points.data());
     }
     // samplesTried counts the candidates a one-at-a-time loop would have
     // evaluated: up to the winner.
@@ -251,6 +264,7 @@ SolveResult BoxSolver::solve(const ExprPtr& goal,
         env.set(vars[d].id, scalarForVar(vars[d], row(win)[d]));
       }
       result.model = std::move(env);
+      result.seedFree = !drew;
       return finish(SolveStatus::kSat);
     }
 
@@ -281,7 +295,9 @@ SolveResult BoxSolver::solve(const ExprPtr& goal,
     work.push_back(std::move(right));
   }
 
-  return finish(exhaustive ? SolveStatus::kUnsat : SolveStatus::kUnknown);
+  if (!exhaustive) return finish(SolveStatus::kUnknown);
+  result.seedFree = true;
+  return finish(SolveStatus::kUnsat);
 }
 
 }  // namespace stcg::solver

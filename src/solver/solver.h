@@ -78,6 +78,11 @@ struct SolveResult {
   SolveStatus status = SolveStatus::kUnknown;
   expr::Env model;  // populated when status == kSat, covers all variables
   SolveStats stats;
+  /// The status and model do not depend on SolveOptions::seed: BoxSolver
+  /// proved UNSAT, decided a constant goal, or found the model before it
+  /// drew from its RNG (at a corner of the root box). False for every
+  /// other result and for every LocalSearchSolver result.
+  bool seedFree = false;
 
   [[nodiscard]] bool sat() const { return status == SolveStatus::kSat; }
 };
@@ -109,11 +114,27 @@ class BoxSolver {
 /// Convert a solver scalar draw (stored as real) to the variable's type.
 [[nodiscard]] expr::Scalar scalarForVar(const expr::VarInfo& info, double v);
 
-/// Bind `point` (one raw draw per var of `vars`) into `lane` of `ex`:
-/// scalarForVar's coercion applied through the executor's typed binds,
-/// without materializing a Scalar.
-void bindPoint(expr::BatchTapeExecutor& ex, int lane,
-               const std::vector<expr::VarInfo>& vars, const double* point);
+/// Binds candidate points (one raw draw per var of `vars`) into the lanes
+/// of a BatchTapeExecutor: scalarForVar's coercion applied through the
+/// executor's typed binds, without materializing a Scalar. The tape
+/// binding of every variable is resolved once, at construction, so
+/// binding a lane is a straight walk with no binding search.
+class PointBinder {
+ public:
+  PointBinder(const expr::BatchTapeExecutor& ex,
+              const std::vector<expr::VarInfo>& vars);
+  /// Bind `point` into `lane` of `ex`, which runs the tape the binder was
+  /// built for.
+  void bind(expr::BatchTapeExecutor& ex, int lane, const double* point) const;
+
+ private:
+  struct Bind {
+    std::size_t dim;  // index into vars and into a point
+    int binding;      // index into the tape's var bindings
+    expr::Type type;  // the variable's type: how the raw draw coerces
+  };
+  std::vector<Bind> binds_;
+};
 
 /// Integer endpoints of the real interval [lo, hi], saturated to a range
 /// that casts exactly to int64 — casting an unbounded (±inf) endpoint

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <utility>
 
 #include "expr/builder.h"
@@ -53,139 +52,7 @@ std::uint64_t taskStream(int round, int goalIdx, int nodeId) {
 /// winner sits near the front of the grid solves little past it.
 constexpr std::size_t kScanCellsPerLane = 16;
 
-/// Payload bits of a scalar (its type travels separately in the key).
-std::uint64_t payloadWord(const expr::Scalar& v) {
-  switch (v.type()) {
-    case expr::Type::kBool: return v.asBool() ? 1 : 0;
-    case expr::Type::kInt: return static_cast<std::uint64_t>(v.asInt());
-    case expr::Type::kReal: {
-      const double d = v.asReal();
-      std::uint64_t w = 0;
-      std::memcpy(&w, &d, sizeof w);
-      return w;
-    }
-  }
-  return 0;
-}
-
 }  // namespace
-
-// ----- Proven-UNSAT memo ---------------------------------------------------
-//
-// Key layout for goal g: [g << 32 | key length, then per read state slot
-// in ascending order its payload words — an array slot prefixed by its
-// length — with the values' 2-bit type tags packed 32 to a word after
-// every 32 values and once more at the end]. For a fixed goal the
-// read-slot list is fixed, so the lengths make the layout decodable and
-// equal keys mean bit-equal projected states.
-
-namespace {
-
-constexpr std::uint32_t kFoldedBit = 1U << 31;
-
-std::uint64_t hashKey(const std::uint64_t* key, std::size_t n) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (std::size_t i = 0; i < n; ++i) h = splitmix64(h ^ key[i]);
-  return h;
-}
-
-std::size_t keyLength(std::uint64_t header) { return header & 0xffffffffU; }
-
-}  // namespace
-
-std::uint64_t UnsatMemo::encode(int goalIdx, const sim::StateSnapshot& s,
-                                std::vector<std::uint64_t>& key) const {
-  key.assign(1, 0);
-  std::uint64_t tags = 0;
-  int nTags = 0;
-  const auto value = [&](const expr::Scalar& v) {
-    key.push_back(payloadWord(v));
-    tags |= static_cast<std::uint64_t>(v.type()) << (2 * nTags);
-    if (++nTags == 32) {
-      key.push_back(tags);
-      tags = 0;
-      nTags = 0;
-    }
-  };
-  for (const std::uint32_t i : reads_[static_cast<std::size_t>(goalIdx)]) {
-    if (cm_->states[i].width == 1) {
-      value(s[i].scalar());
-    } else {
-      key.push_back(s[i].elems().size());
-      for (const auto& e : s[i].elems()) value(e);
-    }
-  }
-  key.push_back(tags);
-  key[0] = static_cast<std::uint64_t>(goalIdx) << 32 | key.size();
-  return hashKey(key.data(), key.size());
-}
-
-std::size_t UnsatMemo::probe(const std::vector<std::uint64_t>& key,
-                             std::uint64_t hash) const {
-  const std::size_t mask = table_.size() - 1;
-  for (std::size_t p = hash & mask;; p = (p + 1) & mask) {
-    const std::uint32_t slot = table_[p];
-    if (slot == 0) return p;
-    const std::uint64_t* rec = arena_.data() + ((slot & ~kFoldedBit) - 1);
-    if (rec[0] == key[0] && std::equal(key.begin(), key.end(), rec)) {
-      return p;
-    }
-  }
-}
-
-std::optional<bool> UnsatMemo::find(int goalIdx,
-                                    const sim::StateSnapshot& s) const {
-  const auto g = static_cast<std::size_t>(goalIdx);
-  if (g >= readsReady_.size() || readsReady_[g] == 0) return std::nullopt;
-  std::vector<std::uint64_t> key;
-  const std::uint64_t h = encode(goalIdx, s, key);
-  const std::uint32_t slot = table_[probe(key, h)];
-  if (slot == 0) return std::nullopt;
-  return (slot & kFoldedBit) != 0;
-}
-
-void UnsatMemo::insert(int goalIdx, const sim::StateSnapshot& s,
-                       bool folded) {
-  const auto g = static_cast<std::size_t>(goalIdx);
-  if (readsReady_.size() <= g) {
-    readsReady_.resize(goals_->size());
-    reads_.resize(goals_->size());
-  }
-  if (readsReady_[g] == 0) {
-    const std::vector<expr::VarId> vars =
-        expr::collectVars((*goals_)[g].pathConstraint);
-    for (std::size_t i = 0; i < cm_->states.size(); ++i) {
-      if (std::binary_search(vars.begin(), vars.end(), cm_->states[i].id)) {
-        reads_[g].push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    readsReady_[g] = 1;
-  }
-  // Keep the load factor at most 1/2 (the table starts at 64 slots).
-  if (2 * (size_ + 1) > table_.size()) {
-    std::vector<std::uint32_t> old = std::move(table_);
-    table_.assign(std::max<std::size_t>(64, 2 * old.size()), 0);
-    const std::size_t mask = table_.size() - 1;
-    for (const std::uint32_t slot : old) {
-      if (slot == 0) continue;
-      const std::uint64_t* rec = arena_.data() + ((slot & ~kFoldedBit) - 1);
-      std::size_t p = hashKey(rec, keyLength(rec[0])) & mask;
-      while (table_[p] != 0) p = (p + 1) & mask;
-      table_[p] = slot;
-    }
-  }
-  std::vector<std::uint64_t> key;
-  const std::uint64_t h = encode(goalIdx, s, key);
-  const std::size_t p = probe(key, h);
-  if (table_[p] != 0) return;
-  if (arena_.size() + key.size() >= kFoldedBit) {
-    return;  // a full memo just stops learning; it is only a cache
-  }
-  table_[p] = static_cast<std::uint32_t>(arena_.size() + 1) |
-              (folded ? kFoldedBit : 0U);
-  arena_.insert(arena_.end(), key.begin(), key.end());
-  ++size_;
-}
 
 Campaign::Campaign(const compile::CompiledModel& cm, const GenOptions& opt,
                    TraceFn trace, void* traceUser)
@@ -197,7 +64,7 @@ Campaign::Campaign(const compile::CompiledModel& cm, const GenOptions& opt,
       deadline_(Deadline::afterMillis(opt.budgetMillis)),
       pool_(std::make_unique<ThreadPool>(
           opt.jobs <= 0 ? ThreadPool::hardwareThreads() : opt.jobs)),
-      memo_(cm, goals_),
+      cache_(cm, goals_),
       cs_(cm, sim_.snapshot()),
       trace_(trace),
       traceUser_(traceUser) {
@@ -380,8 +247,8 @@ std::optional<Campaign::SolveHit> Campaign::solveRound() {
       if (i > winner.load(std::memory_order_acquire)) return;
       if (deadline_.expired()) return;
       runSolveTask(tasks[i], outcomes[i]);
-      if (!outcomes[i].folded &&
-          outcomes[i].status == solver::SolveStatus::kSat) {
+      if (!outcomes[i].step.folded &&
+          outcomes[i].step.status == solver::SolveStatus::kSat) {
         std::size_t cur = winner.load(std::memory_order_acquire);
         while (i < cur && !winner.compare_exchange_weak(
                               cur, i, std::memory_order_acq_rel,
@@ -406,21 +273,34 @@ std::optional<Campaign::SolveHit> Campaign::solveRound() {
     const SolveTask& t = tasks[i];
     cs_.tree.markAttempted(t.nodeId, t.goalIdx);
     ++cs_.stats.solveCalls;
-    if (out.folded || out.status == solver::SolveStatus::kUnsat) {
+    const sim::StateSnapshot& state = cs_.tree.node(t.nodeId).state;
+    OneStep& r = out.step;
+    if (r.folded || r.status == solver::SolveStatus::kUnsat) {
       ++cs_.stats.solveUnsat;
-      if (out.memoHit) {
+      if (out.cached) {
         ++memoHits_;
       } else {
-        memo_.insert(t.goalIdx, cs_.tree.node(t.nodeId).state, out.folded);
+        cache_.insertCell(t.goalIdx, state,
+                          r.folded ? CachedOutcome::kFolded
+                                   : CachedOutcome::kUnsat);
       }
-    } else if (out.status == solver::SolveStatus::kUnknown) {
+    } else if (r.status == solver::SolveStatus::kUnknown) {
       ++cs_.stats.solveUnknown;
     } else {
       ++cs_.stats.solveSat;
+      // Running a winning input covers its goal, except an MCDC pair's
+      // anchor, which can leave the pair undemonstrated: only those cells
+      // come back, so only their models are worth keeping.
+      if (out.cached) {
+        ++satReplays_;
+      } else if (r.seedFree && goals_[static_cast<std::size_t>(t.goalIdx)]
+                                       .kind == GoalKind::kMcdcPair) {
+        cache_.insertCell(t.goalIdx, state, CachedOutcome::kSat, &r.input);
+      }
     }
     if (!out.traceLine.empty()) trace(out.traceLine);
     if (i == w) {
-      hit = SolveHit{t.nodeId, t.goalIdx, std::move(out.input)};
+      hit = SolveHit{t.nodeId, t.goalIdx, std::move(r.input)};
     }
   }
   return hit;
@@ -447,6 +327,7 @@ Campaign::OneStep Campaign::solveOneStep(const expr::ExprPtr& query,
   const auto res =
       solver::solveWith(opt_.solverKind, residual, inputInfos_, so);
   out.status = res.status;
+  out.seedFree = res.seedFree;
   if (res.sat()) out.input = inputsFromEnv(cm_, res.model);
   return out;
 }
@@ -458,35 +339,33 @@ void Campaign::runSolveTask(const SolveTask& t, TaskOutcome& out) {
   const Goal& goal = goals_[static_cast<std::size_t>(t.goalIdx)];
   const bool wantTrace = trace_ != nullptr;
   const sim::StateSnapshot& state = cs_.tree.node(t.nodeId).state;
+  OneStep& r = out.step;
   const auto traceAs = [&](const char* verdict) {
     if (wantTrace) {
       out.traceLine =
           "solve " + goal.label + " on S" + std::to_string(t.nodeId) + verdict;
     }
   };
-  const auto infeasible = [&](bool folded) {
-    out.folded = folded;
-    out.status = solver::SolveStatus::kUnsat;
-    traceAs(folded ? ": infeasible (state-folded)" : ": UNSAT");
-  };
 
-  if (const std::optional<bool> known = memo_.find(t.goalIdx, state)) {
-    out.memoHit = true;
-    infeasible(*known);
-    return;
+  if (std::optional<CacheHit> known = cache_.findCell(t.goalIdx, state)) {
+    out.cached = true;
+    r.folded = known->outcome == CachedOutcome::kFolded;
+    r.status = known->outcome == CachedOutcome::kSat
+                   ? solver::SolveStatus::kSat
+                   : solver::SolveStatus::kUnsat;
+    r.input = std::move(known->input);
+  } else {
+    r = solveOneStep(goal.pathConstraint, stateEnv(cm_, state), [&] {
+      return rngRoot_.fork(kSolveStream)
+          .fork(taskStream(cs_.round, t.goalIdx, t.nodeId));
+    });
   }
-  OneStep r = solveOneStep(goal.pathConstraint, stateEnv(cm_, state), [&] {
-    return rngRoot_.fork(kSolveStream)
-        .fork(taskStream(cs_.round, t.goalIdx, t.nodeId));
-  });
-  out.status = r.status;
   switch (r.status) {
     case solver::SolveStatus::kSat:
-      out.input = std::move(r.input);
       traceAs(": SAT");
       break;
     case solver::SolveStatus::kUnsat:
-      infeasible(r.folded);
+      traceAs(r.folded ? ": infeasible (state-folded)" : ": UNSAT");
       break;
     case solver::SolveStatus::kUnknown:
       traceAs(": UNKNOWN (budget)");
@@ -557,29 +436,55 @@ void Campaign::tryMcdcPair(const SolveHit& hit, const Goal& goal) {
   if (!d.isBooleanDecision() || d.conditions.size() < 2) return;
   if (deadline_.expired()) return;
 
-  // Observed sibling condition values under the solved input. One
-  // evaluator for all conditions, so subterms they share evaluate once.
-  const expr::Env state = stateEnv(cm_, cs_.tree.node(hit.nodeId).state);
+  // Observed condition values under the solved input. One evaluator for
+  // all conditions, so subterms they share evaluate once.
+  const sim::StateSnapshot& snapshot = cs_.tree.node(hit.nodeId).state;
+  const expr::Env state = stateEnv(cm_, snapshot);
   expr::Env env = state;
   for (std::size_t i = 0; i < cm_.inputs.size(); ++i) {
     env.set(cm_.inputs[i].info.id, hit.input[i]);
   }
   expr::Evaluator ev(env);
-  std::vector<expr::ExprPtr> pins;
-  pins.push_back(d.activation);
+  std::vector<bool> bits(d.conditions.size());
   for (std::size_t c = 0; c < d.conditions.size(); ++c) {
-    const bool v = ev.evalScalar(d.conditions[c]).toBool();
-    if (static_cast<int>(c) == goal.condIndex) {
-      pins.push_back(v ? expr::notE(d.conditions[c]) : d.conditions[c]);
-    } else {
-      pins.push_back(v ? d.conditions[c] : expr::notE(d.conditions[c]));
-    }
+    bits[c] = ev.evalScalar(d.conditions[c]).toBool();
   }
+  const PairQuery query{goal.decisionId, goal.condIndex, &bits};
   ++cs_.stats.solveCalls;
   // One cursor child per attempt that reaches the solver: the stream
-  // position is the attempt ordinal, which the checkpoint persists.
-  OneStep r = solveOneStep(expr::andAll(pins), state,
-                           [&] { return cs_.mcdcStream.next(); });
+  // position is the attempt ordinal, which the checkpoint persists. A
+  // cached outcome that did not fold advances it exactly as the solve
+  // would have.
+  OneStep r;
+  if (std::optional<CacheHit> known = cache_.findPair(query, snapshot)) {
+    ++mcdcPairReplays_;
+    r.folded = known->outcome == CachedOutcome::kFolded;
+    if (!r.folded) (void)cs_.mcdcStream.next();
+    r.status = known->outcome == CachedOutcome::kSat
+                   ? solver::SolveStatus::kSat
+                   : solver::SolveStatus::kUnsat;
+    r.input = std::move(known->input);
+  } else {
+    // Pin every sibling condition to the value it just took and flip the
+    // target one.
+    std::vector<expr::ExprPtr> pins;
+    pins.push_back(d.activation);
+    for (std::size_t c = 0; c < d.conditions.size(); ++c) {
+      const bool pinTrue =
+          static_cast<int>(c) == goal.condIndex ? !bits[c] : bits[c];
+      pins.push_back(pinTrue ? d.conditions[c]
+                             : expr::notE(d.conditions[c]));
+    }
+    r = solveOneStep(expr::andAll(pins), state,
+                     [&] { return cs_.mcdcStream.next(); });
+    if (r.folded || r.status == solver::SolveStatus::kUnsat) {
+      cache_.insertPair(query, snapshot,
+                        r.folded ? CachedOutcome::kFolded
+                                 : CachedOutcome::kUnsat);
+    } else if (r.status == solver::SolveStatus::kSat && r.seedFree) {
+      cache_.insertPair(query, snapshot, CachedOutcome::kSat, &r.input);
+    }
+  }
   if (r.status != solver::SolveStatus::kSat) {
     r.status == solver::SolveStatus::kUnsat ? ++cs_.stats.solveUnsat
                                             : ++cs_.stats.solveUnknown;

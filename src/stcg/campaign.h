@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "sim/batch_simulator.h"
+#include "stcg/query_cache.h"
 #include "stcg/state_tree.h"
 #include "stcg/testgen.h"
 #include "util/stopwatch.h"
@@ -71,61 +72,6 @@ struct CampaignState {
   std::vector<TestCase> tests;
   std::vector<GenEvent> events;
   GenStats stats;
-};
-
-/// Solve cells proven infeasible, keyed by (goal, the state projected onto
-/// the state slots the goal's path constraint reads). Such a cell's
-/// outcome is a fact about the model, not about the search: the residual
-/// `substitute` builds depends only on the projected state, state folding
-/// is deterministic, and BoxSolver reports UNSAT only when sound HC4
-/// refuted every box of a box tree that does not depend on the sampling
-/// seed (LocalSearchSolver's one UNSAT is a constant-false goal). So a
-/// cell whose key matches a recorded one has the recorded outcome, and
-/// the solve round replays it without substituting or solving.
-///
-/// Keys compare by type and payload bits (-0.0 and 0.0 differ; NaN
-/// matches itself) and live as flat 64-bit words in one arena. Campaign
-/// inserts only from its single-threaded commit loop, so lookups from
-/// the parallel scan only read. The memo is a cache: it is not
-/// checkpointed (a resumed process starts with it empty) and it changes
-/// no campaign output.
-class UnsatMemo {
- public:
-  UnsatMemo(const compile::CompiledModel& cm, const std::vector<Goal>& goals)
-      : cm_(&cm), goals_(&goals) {}
-
-  /// The recorded outcome of cell (goal, state): true if the residual
-  /// folded to false, false if the solver proved it UNSAT; nullopt if no
-  /// such cell was recorded. Const and safe from many threads while no
-  /// insert() runs.
-  [[nodiscard]] std::optional<bool> find(int goalIdx,
-                                         const sim::StateSnapshot& s) const;
-
-  /// Record cell (goal, state) as infeasible (no-op when present).
-  void insert(int goalIdx, const sim::StateSnapshot& s, bool folded);
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-
- private:
-  /// Encode the key of (goal, s) into `key`; returns its hash. Requires
-  /// reads_[goalIdx] to be computed.
-  std::uint64_t encode(int goalIdx, const sim::StateSnapshot& s,
-                       std::vector<std::uint64_t>& key) const;
-  /// table_ position holding `key`, or the empty position it would take.
-  [[nodiscard]] std::size_t probe(const std::vector<std::uint64_t>& key,
-                                  std::uint64_t hash) const;
-
-  const compile::CompiledModel* cm_;
-  const std::vector<Goal>* goals_;
-  /// Per goal: ascending state indices its path constraint reads, filled
-  /// by the first insert() for that goal (find() misses until then).
-  std::vector<std::vector<std::uint32_t>> reads_;
-  std::vector<std::uint8_t> readsReady_;
-  /// Every key, back to back; a key's first word holds its length.
-  std::vector<std::uint64_t> arena_;
-  /// Open addressing: 0 = empty, else (arena offset + 1) | folded << 31.
-  std::vector<std::uint32_t> table_;
-  std::size_t size_ = 0;
 };
 
 /// One campaign of the STCG generator, advanced round by round. The
@@ -176,9 +122,14 @@ class Campaign {
   [[nodiscard]] const CampaignState& state() const { return cs_; }
   [[nodiscard]] CampaignState& mutableState() { return cs_; }
   [[nodiscard]] const std::vector<Goal>& goals() const { return goals_; }
-  /// Committed solve cells answered from the proven-UNSAT memo — each one
-  /// a `substitute` (and, unless it folded, a solver call) not made.
+  /// Committed solve cells answered as infeasible (folded or UNSAT) from
+  /// the one-step query cache — each one a `substitute` (and, unless it
+  /// folded, a solver call) not made.
   [[nodiscard]] long long memoHits() const { return memoHits_; }
+  /// Committed solve cells answered SAT from the cache (a seed-free model).
+  [[nodiscard]] long long satReplays() const { return satReplays_; }
+  /// MCDC pair attempts answered from the cache, whatever the outcome.
+  [[nodiscard]] long long mcdcPairReplays() const { return mcdcPairReplays_; }
 
  private:
   struct SolveHit {
@@ -191,21 +142,19 @@ class Campaign {
     int goalIdx = -1;
     int nodeId = -1;
   };
-  /// What a worker found for one cell (see solveRound()).
-  struct TaskOutcome {
-    bool ran = false;
-    bool folded = false;  // residual folded to const false; no solver call
-    bool memoHit = false;  // outcome replayed from memo_
-    solver::SolveStatus status = solver::SolveStatus::kUnknown;
-    sim::InputVector input;  // populated on SAT
-    std::string traceLine;
-  };
-
   /// What one one-step query came to (see solveOneStep()).
   struct OneStep {
     solver::SolveStatus status = solver::SolveStatus::kUnknown;
     bool folded = false;     // residual folded to const false; no solver call
+    bool seedFree = false;   // SolveResult::seedFree of the solver call
     sim::InputVector input;  // populated on SAT
+  };
+  /// What a worker found for one cell (see solveRound()).
+  struct TaskOutcome {
+    bool ran = false;
+    bool cached = false;  // outcome replayed from cache_
+    OneStep step;
+    std::string traceLine;
   };
 
   void trace(const std::string& line);
@@ -279,8 +228,10 @@ class Campaign {
   std::unique_ptr<ThreadPool> pool_;
   std::vector<Goal> goals_;
   std::vector<int> order_;
-  UnsatMemo memo_;
+  OneStepCache cache_;
   long long memoHits_ = 0;
+  long long satReplays_ = 0;
+  long long mcdcPairReplays_ = 0;
   int lastCheckpointRound_ = 0;
   CampaignState cs_;
   TraceFn trace_;

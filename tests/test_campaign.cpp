@@ -24,6 +24,7 @@
 #include "sim/snapshot_io.h"
 #include "stcg/campaign.h"
 #include "stcg/checkpoint.h"
+#include "stcg/export.h"
 #include "stcg/stcg_generator.h"
 
 namespace stcg::gen {
@@ -533,6 +534,37 @@ TEST(ResumeEquivalence, BitIdenticalAcrossJobsBatchEngine) {
       }
     }
   }
+}
+
+// The one-step query cache is not checkpointed: a resumed process starts
+// with it empty and solves what the first process answered from it. Kill
+// the campaign right after the first round whose MCDC pair attempt was
+// answered from the cache (its solver-seed cursor advanced without a
+// solve); the resumed run must export the uninterrupted run's suite.
+TEST(ResumeEquivalence, CheckpointRightAfterAnMcdcPairCacheHit) {
+  const auto cm = compile::compile(bench::buildBenchModel("NICProtocol"));
+  GenOptions opt;
+  opt.seed = 2;
+  opt.batch = 8;
+  opt.simEngine = sim::EvalEngine::kTape;
+  opt.maxRounds = 120;
+  opt.budgetMillis = -1;
+  opt.solver.timeBudgetMillis = -1;
+  const GenResult ref = runUninterrupted(cm, opt);
+  const std::string path = tmpPath("ck_mcdc_hit");
+  {
+    Campaign c(cm, opt);
+    while (!c.finished() && c.mcdcPairReplays() == 0) c.runRound();
+    ASSERT_EQ(c.mcdcPairReplays(), 1);
+    ASSERT_FALSE(c.finished());
+    c.saveCheckpoint(path);
+  }
+  Campaign c(cm, opt);
+  c.restore(path);
+  while (!c.finished()) c.runRound();
+  const GenResult resumed = c.finish();
+  expectIdentical(ref, resumed, "resumed after an MCDC pair cache hit");
+  EXPECT_EQ(renderTestSuite(cm, ref.tests), renderTestSuite(cm, resumed.tests));
 }
 
 TEST(ResumeEquivalence, CheckpointFromOneConfigResumesUnderAnother) {

@@ -20,7 +20,9 @@
 #include "interval/box.h"
 #include "interval/hc4.h"
 #include "map_oracles.h"
+#include "solver/solver.h"
 #include "util/rng.h"
+#include "util/stopwatch.h"
 
 namespace stcg {
 namespace {
@@ -204,6 +206,56 @@ TEST(Hc4DenseSlots, EpochWrapClearsStamps) {
       // The counter went through the wrap and restarted above zero.
       EXPECT_GE(dense.epochForTesting(), 1U);
       EXPECT_LT(dense.epochForTesting(), 64U);
+    }
+  }
+}
+
+// ----- Backward sweep over shared nodes -----------------------------------
+
+ExprPtr doublingTower(const ExprPtr& base, int depth) {
+  ExprPtr s = base;
+  for (int k = 0; k < depth; ++k) s = expr::addE(s, s);
+  return s;
+}
+
+ExprPtr towerQuery(const std::vector<VarInfo>& v, int depth) {
+  const auto shared = expr::addE(
+      doublingTower(expr::addE(expr::mkVar(v[0]), expr::mkVar(v[2])), depth),
+      expr::mkVar(v[1]));
+  return expr::andE(expr::ltE(shared, expr::cReal(5.0)),
+                    expr::gtE(shared, expr::cReal(-5.0)));
+}
+
+// Both arguments of `s + s` are one node reached with one target, so a
+// backward sweep that narrows each (node, target) once per sweep does
+// linear work on a k-deep tower where a per-path walk does 2^k.
+TEST(Hc4Backward, DeepSharedTowerSolvesInLinearTime) {
+  const std::vector<VarInfo> vars = {{0, "x", Type::kReal, -1, 1},
+                                     {1, "y", Type::kReal, -1, 1},
+                                     {2, "z", Type::kReal, -1, 1}};
+  solver::SolveOptions opt;
+  opt.timeBudgetMillis = -1;
+  Stopwatch watch;
+  const auto res = solver::BoxSolver(opt).solve(towerQuery(vars, 40), vars);
+  EXPECT_EQ(res.status, solver::SolveStatus::kSat);
+  EXPECT_LT(watch.elapsedMillis(), 1000);
+}
+
+// Skipping a repeated (node, target) changes no box: on a tower shallow
+// enough for the per-path map oracle, every contraction matches it.
+TEST(Hc4Backward, SkippedRepeatsLeaveContractionsUnchanged) {
+  const std::vector<VarInfo> vars = {{0, "x", Type::kInt, -50, 50},
+                                     {1, "y", Type::kReal, -1, 1},
+                                     {2, "z", Type::kInt, -3, 9}};
+  Rng rng(11);
+  for (const int depth : {1, 4, 10}) {
+    const ExprPtr goal = towerQuery(vars, depth);
+    Hc4Contractor dense(goal);
+    testref::MapHc4Contractor ref(goal);
+    for (int b = 0; b < 20; ++b) {
+      const Box start = randomSubBox(rng, vars);
+      const std::string diff = contractDiff(dense, ref, start, 3);
+      ASSERT_TRUE(diff.empty()) << "depth " << depth << ": " << diff;
     }
   }
 }

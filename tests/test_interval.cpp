@@ -109,6 +109,23 @@ TEST(BoxTest, SplitPrefersWidestDimension) {
   EXPECT_EQ(box.splitDimension(), -1);
 }
 
+TEST(BoxTest, MovedFromBoxIsZeroDimensional) {
+  Box box(twoVars());
+  Box taken(std::move(box));
+  Box assigned;
+  assigned = std::move(taken);
+  // NOLINTBEGIN(bugprone-use-after-move): the moved-from state is the test.
+  for (Box* b : {&box, &taken}) {
+    EXPECT_TRUE(b->vars().empty());
+    EXPECT_EQ(b->dims(), 0U);
+    EXPECT_EQ(b->domain(0), Interval::whole());
+    EXPECT_TRUE(b->narrow(0, Interval(1, 2)));
+    EXPECT_EQ(b->splitDimension(), -1);
+  }
+  // NOLINTEND(bugprone-use-after-move)
+  EXPECT_EQ(assigned.domain(0), Interval(0, 10));
+}
+
 // ---------- HC4 ----------
 
 TEST(Hc4, ContractsLinearEquality) {

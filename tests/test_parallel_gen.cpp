@@ -10,6 +10,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -494,6 +495,34 @@ TEST(ParallelGen, UnsatMemoHitsIdenticalAcrossJobs) {
   expectIdentical(seq, run(4, &parHits), "NICProtocol jobs=4");
   EXPECT_GT(seqHits, 0);
   EXPECT_EQ(seqHits, parHits);
+}
+
+// The one-step query cache answers solve cells in the parallel scan and
+// MCDC pair attempts on the coordinator; both only read it, and the commit
+// loop and the pair attempt file what they found. The campaign and every
+// replay count must not depend on the lane count.
+TEST(ParallelGen, CacheReplaysIdenticalAcrossJobs) {
+  const auto cm = compile::compile(bench::buildBenchModel("NICProtocol"));
+  const auto run = [&](int jobs, std::vector<long long>* counts) {
+    GenOptions opt;
+    opt.seed = 3;
+    opt.jobs = jobs;
+    opt.batch = 8;
+    opt.simEngine = sim::EvalEngine::kTape;
+    opt.maxRounds = 300;
+    opt.budgetMillis = -1;
+    opt.solver.timeBudgetMillis = -1;
+    Campaign c(cm, opt);
+    while (!c.finished()) c.runRound();
+    *counts = {c.memoHits(), c.satReplays(), c.mcdcPairReplays()};
+    return c.finish();
+  };
+  std::vector<long long> seq, par;
+  const GenResult a = run(1, &seq);
+  expectIdentical(a, run(4, &par), "NICProtocol jobs=4");
+  EXPECT_EQ(seq, par);
+  EXPECT_GT(seq[1], 0) << "no SAT cell replayed";
+  EXPECT_GT(seq[2], 0) << "no pair attempt replayed";
 }
 
 }  // namespace

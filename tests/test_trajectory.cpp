@@ -1,17 +1,18 @@
-// Trajectory pins and the proven-UNSAT memo.
+// Trajectory pins and the one-step query cache's infeasible-cell entries.
 //
 // Round-capped campaigns on the five solve-heavy bench models must
 // produce exactly the suites, GenStats and trace lines recorded below, at
-// jobs 1 and at jobs 4, while answering the pinned number of solve cells
-// from the memo (each hit is one `substitute` and, unless the cell folded,
-// one solver call not made).
+// jobs 1 and at jobs 4, while answering the pinned number of one-step
+// queries from the one-step query cache (each hit is one `substitute` and,
+// unless the cell folded, one solver call not made).
 //
 // The constants were recorded on the commit before the box solver
 // certified candidates as compiled tape lanes and before solve rounds
-// replayed proven-UNSAT cells from a memo. Both changes are meant to move
-// only time, so any drift here is a behaviour change: a different RNG
-// draw order, a model a candidate-by-candidate evaluate() loop would not
-// have returned, a memo hit with the wrong outcome or trace line. A
+// replayed proven-UNSAT cells from a memo. Those changes and the cache
+// are meant to move only time, so any drift here is a behaviour change: a
+// different RNG draw order, a model a candidate-by-candidate evaluate()
+// loop would not have returned, a cache hit with the wrong outcome, input
+// or trace line, a pair hit that does not advance the seed cursor. A
 // change that alters trajectories on purpose re-records the constants
 // and says so.
 //
@@ -89,19 +90,28 @@ void hashTraceLine(const std::string& line, void* user) {
 
 struct Pin {
   const char* model;
+  int rounds;
   std::uint64_t fingerprint;  // suite + GenStats
   std::uint64_t trace;        // every trace line, in order
-  long long memoHits;         // committed cells answered by the memo
+  long long memoHits;         // committed cells answered as infeasible
+  long long satReplays;       // committed cells answered SAT by the cache
+  long long mcdcPairReplays;  // MCDC pair attempts answered by the cache
 };
 
-// Seed 1, 300 rounds; identical at jobs 1 and jobs 4. The hashes predate
-// the memo and the lane certifier; the hit counts came with the memo.
+// Seed 1; identical at jobs 1 and jobs 4. The hashes predate the memo and
+// the lane certifier (the TCP 1000-round row's were recorded on the commit
+// before the one-step query cache); the infeasible-cell hit counts came
+// with the memo, the replay counts with the cache. The 1000-round TCP row
+// runs the cache through several table growths.
 constexpr Pin kPins[] = {
-    {"CPUTask", 0xccabbdf36cfa6146ULL, 0x1458084c93700beeULL, 12},
-    {"TWC", 0xd8838c6edfe8ebe0ULL, 0xa8fb6c76264857d8ULL, 983},
-    {"NICProtocol", 0x1f95f15d3273ac02ULL, 0x01368e84bdb99175ULL, 2195},
-    {"TCP", 0xcbad300d5c1be147ULL, 0x7299c93d60e6538aULL, 1249},
-    {"LANSwitch", 0x343fc46d9414ebb8ULL, 0x9bdc40cf2d74e8e9ULL, 554},
+    {"CPUTask", 300, 0xccabbdf36cfa6146ULL, 0x1458084c93700beeULL, 12, 0, 0},
+    {"TWC", 300, 0xd8838c6edfe8ebe0ULL, 0xa8fb6c76264857d8ULL, 983, 249, 137},
+    {"NICProtocol", 300, 0x1f95f15d3273ac02ULL, 0x01368e84bdb99175ULL, 2195,
+     275, 275},
+    {"TCP", 300, 0xcbad300d5c1be147ULL, 0x7299c93d60e6538aULL, 1249, 69, 60},
+    {"LANSwitch", 300, 0x343fc46d9414ebb8ULL, 0x9bdc40cf2d74e8e9ULL, 554, 251,
+     250},
+    {"TCP", 1000, 0x5aa052da345d6a89ULL, 0x30324bb725e67debULL, 6236, 273, 352},
 };
 
 void PrintTo(const Pin& p, std::ostream* os) { *os << p.model; }
@@ -117,7 +127,7 @@ TEST_P(TrajectoryPin, SuiteStatsAndTraceMatchRecordedConstants) {
   opt.jobs = jobs;
   opt.batch = 8;
   opt.simEngine = sim::EvalEngine::kTape;
-  opt.maxRounds = 300;
+  opt.maxRounds = pin.rounds;
   opt.budgetMillis = -1;
   opt.solver.timeBudgetMillis = -1;
   opt.solver.maxBoxes = 4096;
@@ -132,13 +142,20 @@ TEST_P(TrajectoryPin, SuiteStatsAndTraceMatchRecordedConstants) {
   EXPECT_EQ(fingerprint(r), pin.fingerprint) << pin.model << " got " << got;
   EXPECT_EQ(trace.h, pin.trace) << pin.model << " got " << got;
   EXPECT_EQ(c.memoHits(), pin.memoHits) << pin.model;
+  std::snprintf(got, sizeof got, "%lld, %lld", c.satReplays(),
+                c.mcdcPairReplays());
+  EXPECT_EQ(c.satReplays(), pin.satReplays) << pin.model << " got " << got;
+  EXPECT_EQ(c.mcdcPairReplays(), pin.mcdcPairReplays)
+      << pin.model << " got " << got;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SolveDeepModels, TrajectoryPin,
     ::testing::Combine(::testing::ValuesIn(kPins), ::testing::Values(1, 4)),
     [](const ::testing::TestParamInfo<std::tuple<Pin, int>>& info) {
-      return std::string(std::get<0>(info.param).model) + "_jobs" +
+      const Pin& pin = std::get<0>(info.param);
+      return std::string(pin.model) +
+             (pin.rounds == 300 ? "" : std::to_string(pin.rounds)) + "_jobs" +
              std::to_string(std::get<1>(info.param));
     });
 
@@ -182,69 +199,83 @@ sim::StateSnapshot withSlot(sim::StateSnapshot s, std::size_t i,
   return s;
 }
 
+/// The outcome a cache lookup replays, if any.
+std::optional<CachedOutcome> outcomeOf(const std::optional<CacheHit>& hit) {
+  if (!hit) return std::nullopt;
+  return hit->outcome;
+}
+
+// The UnsatMemo tests pin the cache's infeasible solve-cell entries, the
+// proven-UNSAT memo this cache grew out of.
 TEST(UnsatMemo, StateDifferingOnlyInAnUnreadSlotHits) {
   const MemoFixture f = makeMemoFixture();
   ASSERT_GE(f.goal, 0) << "NICProtocol has a goal reading a strict subset "
                           "of its state";
-  UnsatMemo memo(f.cm, f.goals);
-  EXPECT_FALSE(memo.find(f.goal, f.s0).has_value());
-  memo.insert(f.goal, f.s0, /*folded=*/false);
-  ASSERT_EQ(memo.find(f.goal, f.s0), std::optional<bool>(false));
+  OneStepCache memo(f.cm, f.goals);
+  EXPECT_FALSE(memo.findCell(f.goal, f.s0).has_value());
+  memo.insertCell(f.goal, f.s0, CachedOutcome::kUnsat);
+  ASSERT_EQ(outcomeOf(memo.findCell(f.goal, f.s0)), CachedOutcome::kUnsat);
 
   const auto other = withSlot(f.s0, f.unread, expr::Scalar::i(123456789));
-  EXPECT_EQ(memo.find(f.goal, other), std::optional<bool>(false))
+  EXPECT_EQ(outcomeOf(memo.findCell(f.goal, other)), CachedOutcome::kUnsat)
       << "the goal never reads slot " << f.unread;
   const auto changed = withSlot(f.s0, f.read, expr::Scalar::i(123456789));
-  EXPECT_FALSE(memo.find(f.goal, changed).has_value())
+  EXPECT_FALSE(memo.findCell(f.goal, changed).has_value())
       << "the goal reads slot " << f.read;
 
   // Outcomes are per cell: a folded cell replays as folded.
-  memo.insert(f.goal, changed, /*folded=*/true);
-  EXPECT_EQ(memo.find(f.goal, changed), std::optional<bool>(true));
-  EXPECT_EQ(memo.find(f.goal, f.s0), std::optional<bool>(false));
+  memo.insertCell(f.goal, changed, CachedOutcome::kFolded);
+  EXPECT_EQ(outcomeOf(memo.findCell(f.goal, changed)), CachedOutcome::kFolded);
+  EXPECT_EQ(outcomeOf(memo.findCell(f.goal, f.s0)), CachedOutcome::kUnsat);
   EXPECT_EQ(memo.size(), 2U);
-  memo.insert(f.goal, other, /*folded=*/false);  // same key as s0
+  memo.insertCell(f.goal, other, CachedOutcome::kUnsat);  // same key as s0
   EXPECT_EQ(memo.size(), 2U);
 
   // Entries belong to their goal.
   const int otherGoal = f.goal == 0 ? 1 : 0;
-  EXPECT_FALSE(memo.find(otherGoal, f.s0).has_value());
+  EXPECT_FALSE(memo.findCell(otherGoal, f.s0).has_value());
 }
 
 TEST(UnsatMemo, KeysCompareTypeAndPayloadBits) {
   const MemoFixture f = makeMemoFixture();
   ASSERT_GE(f.goal, 0);
-  UnsatMemo memo(f.cm, f.goals);
+  OneStepCache memo(f.cm, f.goals);
   const auto pos = withSlot(f.s0, f.read, expr::Scalar::r(0.0));
-  memo.insert(f.goal, pos, false);
+  memo.insertCell(f.goal, pos, CachedOutcome::kUnsat);
   EXPECT_FALSE(
-      memo.find(f.goal, withSlot(f.s0, f.read, expr::Scalar::r(-0.0))));
-  EXPECT_FALSE(memo.find(f.goal, withSlot(f.s0, f.read, expr::Scalar::i(0))));
+      memo.findCell(f.goal, withSlot(f.s0, f.read, expr::Scalar::r(-0.0))));
   EXPECT_FALSE(
-      memo.find(f.goal, withSlot(f.s0, f.read, expr::Scalar::b(false))));
-  EXPECT_TRUE(memo.find(f.goal, pos));
+      memo.findCell(f.goal, withSlot(f.s0, f.read, expr::Scalar::i(0))));
+  EXPECT_FALSE(
+      memo.findCell(f.goal, withSlot(f.s0, f.read, expr::Scalar::b(false))));
+  EXPECT_TRUE(memo.findCell(f.goal, pos));
 
   const double nan = std::nan("");
   const auto nanState = withSlot(f.s0, f.read, expr::Scalar::r(nan));
-  memo.insert(f.goal, nanState, false);
-  EXPECT_TRUE(memo.find(f.goal, nanState)) << "a NaN key matches its bits";
+  memo.insertCell(f.goal, nanState, CachedOutcome::kUnsat);
+  EXPECT_TRUE(memo.findCell(f.goal, nanState)) << "a NaN key matches its bits";
 }
 
 TEST(UnsatMemo, GrowsPastItsInitialTable) {
   const MemoFixture f = makeMemoFixture();
   ASSERT_GE(f.goal, 0);
-  UnsatMemo memo(f.cm, f.goals);
+  OneStepCache memo(f.cm, f.goals);
+  const auto outcome = [](int k) {
+    return k % 2 == 1 ? CachedOutcome::kFolded : CachedOutcome::kUnsat;
+  };
   for (int k = 0; k < 1000; ++k) {
-    memo.insert(f.goal, withSlot(f.s0, f.read, expr::Scalar::i(k)), k % 2);
+    memo.insertCell(f.goal, withSlot(f.s0, f.read, expr::Scalar::i(k)),
+                    outcome(k));
   }
   EXPECT_EQ(memo.size(), 1000U);
   for (int k = 0; k < 1000; ++k) {
-    EXPECT_EQ(memo.find(f.goal, withSlot(f.s0, f.read, expr::Scalar::i(k))),
-              std::optional<bool>(k % 2 == 1))
+    EXPECT_EQ(outcomeOf(memo.findCell(
+                  f.goal, withSlot(f.s0, f.read, expr::Scalar::i(k)))),
+              outcome(k))
         << k;
   }
   EXPECT_FALSE(
-      memo.find(f.goal, withSlot(f.s0, f.read, expr::Scalar::i(1000))));
+      memo.findCell(f.goal, withSlot(f.s0, f.read, expr::Scalar::i(1000))));
 }
 
 }  // namespace

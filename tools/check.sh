@@ -36,8 +36,9 @@ cmake --build "$build_dir" -j "$(nproc)" --target tape_audit
 "$build_dir/tools/tape_audit"
 
 # TSAN is a separate build: it cannot share shadow memory with ASAN, and
-# the races it exists to catch (the pool's batch handover) only show in
-# the threaded tests, so only those run here. The timeout turns a
+# the races it exists to catch (the pool's batch handover, and the solve
+# scan's lookups into the one-step query cache) only show in the threaded
+# tests and the cache's own, so only those run here. The timeout turns a
 # handover deadlock into a failed stage instead of a stalled one.
 tsan_probe="$(mktemp -d)"
 echo 'int main(){return 0;}' > "$tsan_probe/t.cpp"
@@ -50,7 +51,7 @@ if c++ -fsanitize=thread "$tsan_probe/t.cpp" -o "$tsan_probe/t" 2>/dev/null; the
     ${STCG_CHECK_GENERATOR:+-G "$STCG_CHECK_GENERATOR"}
   cmake --build "$tsan_dir" -j "$(nproc)" --target stcg_tests
   timeout 600 "$tsan_dir/tests/stcg_tests" \
-    --gtest_filter='ThreadPool.*:ParallelGen.*'
+    --gtest_filter='ThreadPool.*:ParallelGen.*:OneStepCache.*'
 else
   echo "== -fsanitize=thread unsupported by this toolchain; skipping TSAN =="
 fi
@@ -86,7 +87,7 @@ echo "== bench_batch_eval --quick (detected SIMD level) =="
 # interval evaluator, the tape executor and concrete points
 # (Hc4TransferAgreement, Hc4StoreClamp), all optimized.
 cmake --build "$bench_dir" -j "$(nproc)" --target stcg_tests
-solver_filter='Solver*:*Certify*:*Memo*:*TrajectoryPin*:*LazyMt*:*Hc4*:*Subst*'
+solver_filter='Solver*:*Certify*:*Memo*:*TrajectoryPin*:*LazyMt*:*Hc4*:*Subst*:OneStepCache.*'
 echo "== solver/memo tests (STCG_SIMD=scalar) =="
 STCG_SIMD=scalar "$bench_dir/tests/stcg_tests" --gtest_filter="$solver_filter"
 echo "== solver/memo tests (detected SIMD level) =="
