@@ -6,9 +6,9 @@
 //     tracker, tree engine vs tape engine vs JIT engine, identical input
 //     streams (JIT columns report 0 when no toolchain is available);
 //   - solver scoring throughput (candidates/sec): the hill climber's
-//     single-coordinate candidate scoring, tree branchDistance vs a full
-//     DistanceTape rebind vs the incremental dirty-cone update path,
-//     interpreted and JIT-compiled.
+//     single-coordinate candidate scoring, the recursive branch distance
+//     (the test oracle) vs a one-lane DistanceTape rebind; the batched
+//     scorer local search runs is measured by bench_batch_eval.
 // The scored goal is the disjunction of the model's non-constant branch
 // residuals at the initial state — the same partial-evaluation product the
 // STCG solve loop hands to the solver.
@@ -38,9 +38,10 @@
 #include "expr/subst.h"
 #include "sim/simulator.h"
 #include "solver/distance_tape.h"
-#include "solver/local_search.h"
 #include "solver/solver.h"
 #include "util/rng.h"
+
+#include "distance_oracle.h"
 
 namespace stcg {
 namespace {
@@ -54,8 +55,8 @@ double secondsSince(Clock::time_point t0) {
 struct Row {
   std::string name;
   double stepsTree = 0, stepsTape = 0, stepsJit = 0;
-  double candTree = 0, candRebind = 0, candIncr = 0, candJitIncr = 0;
-  std::size_t tapeInstrs = 0, maxCone = 0, overlayInstrs = 0;
+  double candTree = 0, candRebind = 0;
+  std::size_t tapeInstrs = 0, overlayInstrs = 0;
   // Pass-pipeline shrink of the simulation ModelTape (instruction count
   // and dense scalar slot frame, raw build vs optimized).
   std::size_t simInstrsRaw = 0, simInstrsOpt = 0;
@@ -68,8 +69,8 @@ struct Row {
   [[nodiscard]] double jitStepSpeedup() const {
     return stepsTape > 0 ? stepsJit / stepsTape : 0;
   }
-  [[nodiscard]] double incrSpeedup() const {
-    return candTree > 0 ? candIncr / candTree : 0;
+  [[nodiscard]] double rebindSpeedup() const {
+    return candTree > 0 ? candRebind / candTree : 0;
   }
   [[nodiscard]] double instrShrinkPct() const {
     return simInstrsRaw > 0
@@ -137,11 +138,9 @@ bool jitAvailable(const compile::CompiledModel& cm) {
   return false;
 }
 
-enum class CandMode { kTree, kRebind, kIncremental, kJitIncremental };
-
 double measureCandidatesPerSec(const expr::ExprPtr& goal,
                                const std::vector<expr::VarInfo>& vars,
-                               CandMode mode, double window) {
+                               bool tree, double window) {
   // The same deterministic mutation stream for every mode: start from the
   // domain midpoint, move one coordinate per candidate.
   Rng rng(4242);
@@ -149,14 +148,13 @@ double measureCandidatesPerSec(const expr::ExprPtr& goal,
   for (std::size_t i = 0; i < vars.size(); ++i) {
     point[i] = (vars[i].lo + vars[i].hi) * 0.5;
   }
-  const auto mutate = [&]() -> std::size_t {
+  const auto mutate = [&] {
     const std::size_t i = rng.index(vars.size());
     point[i] = vars[i].type == expr::Type::kReal
                    ? rng.uniformReal(vars[i].lo, vars[i].hi)
                    : static_cast<double>(rng.uniformInt(
                          static_cast<std::int64_t>(vars[i].lo),
                          static_cast<std::int64_t>(vars[i].hi)));
-    return i;
   };
   const auto toEnv = [&] {
     expr::Env env;
@@ -166,8 +164,7 @@ double measureCandidatesPerSec(const expr::ExprPtr& goal,
     return env;
   };
 
-  solver::DistanceTape dt(goal, vars,
-                          /*useJit=*/mode == CandMode::kJitIncremental);
+  solver::DistanceTape dt(goal, vars);
   (void)dt.rebind(point);
   double sink = 0;  // defeat dead-code elimination of the measured work
   std::size_t cands = 0;
@@ -175,19 +172,9 @@ double measureCandidatesPerSec(const expr::ExprPtr& goal,
   double elapsed = 0;
   do {
     for (int i = 0; i < 64; ++i) {
-      const std::size_t moved = mutate();
-      switch (mode) {
-        case CandMode::kTree:
-          sink += solver::branchDistance(goal, toEnv(), true);
-          break;
-        case CandMode::kRebind:
-          sink += dt.rebind(point);
-          break;
-        case CandMode::kIncremental:
-        case CandMode::kJitIncremental:
-          sink += dt.update(moved, point[moved]);
-          break;
-      }
+      mutate();
+      sink += tree ? testref::branchDistance(goal, toEnv(), true)
+                   : dt.rebind(point);
     }
     cands += 64;
     elapsed = secondsSince(t0);
@@ -211,17 +198,14 @@ void writeJson(const std::string& path, const std::vector<Row>& rows,
         "\"steps_per_sec_tape\": %.0f, \"step_speedup\": %.2f, "
         "\"steps_per_sec_jit\": %.0f, \"jit_step_speedup\": %.2f, "
         "\"cand_per_sec_tree\": %.0f, \"cand_per_sec_rebind\": %.0f, "
-        "\"cand_per_sec_incremental\": %.0f, "
-        "\"cand_per_sec_jit_incremental\": %.0f, \"incr_speedup\": %.2f, "
-        "\"tape_instrs\": %zu, \"max_cone\": %zu, \"overlay_instrs\": %zu, "
+        "\"tape_instrs\": %zu, \"overlay_instrs\": %zu, "
         "\"sim_instrs_raw\": %zu, \"sim_instrs_opt\": %zu, "
         "\"sim_slots_raw\": %zu, \"sim_slots_opt\": %zu, "
         "\"instr_shrink_pct\": %.1f, \"slot_shrink_pct\": %.1f}%s\n",
         r.name.c_str(), r.stepsTree, r.stepsTape, r.stepSpeedup(),
-        r.stepsJit, r.jitStepSpeedup(), r.candTree, r.candRebind, r.candIncr,
-        r.candJitIncr, r.incrSpeedup(), r.tapeInstrs, r.maxCone,
-        r.overlayInstrs, r.simInstrsRaw, r.simInstrsOpt, r.simSlotsRaw,
-        r.simSlotsOpt, r.instrShrinkPct(), r.slotShrinkPct(),
+        r.stepsJit, r.jitStepSpeedup(), r.candTree, r.candRebind,
+        r.tapeInstrs, r.overlayInstrs, r.simInstrsRaw, r.simInstrsOpt,
+        r.simSlotsRaw, r.simSlotsOpt, r.instrShrinkPct(), r.slotShrinkPct(),
         i + 1 < rows.size() ? "," : "");
     out << buf;
   }
@@ -298,46 +282,30 @@ int run(int argc, char** argv) {
     const auto vars = cm.inputInfos();
     solver::DistanceTape probe(goal, vars);
     row.tapeInstrs = probe.valueInstrCount();
-    row.maxCone = probe.maxConeSize();
     row.overlayInstrs = probe.overlayInstrCount();
     row.candTree = benchx::medianOf(repeat, [&] {
-      return measureCandidatesPerSec(goal, vars, CandMode::kTree, window);
+      return measureCandidatesPerSec(goal, vars, /*tree=*/true, window);
     });
     row.candRebind = benchx::medianOf(repeat, [&] {
-      return measureCandidatesPerSec(goal, vars, CandMode::kRebind, window);
+      return measureCandidatesPerSec(goal, vars, /*tree=*/false, window);
     });
-    row.candIncr = benchx::medianOf(repeat, [&] {
-      return measureCandidatesPerSec(goal, vars, CandMode::kIncremental,
-                                     window);
-    });
-    if (haveJit) {
-      row.candJitIncr = benchx::medianOf(repeat, [&] {
-        return measureCandidatesPerSec(goal, vars, CandMode::kJitIncremental,
-                                       window);
-      });
-    }
     rows.push_back(std::move(row));
   }
 
-  std::printf("%-12s %12s %12s %12s %8s %12s %12s %12s %12s %8s\n", "model",
+  std::printf("%-12s %12s %12s %12s %8s %12s %12s %8s\n", "model",
               "steps/s tree", "steps/s tape", "steps/s jit", "jit/tape",
-              "cand/s tree", "cand/s reb", "cand/s incr", "cand/s jit",
-              "speedup");
-  int stepWins = 0, incrWins = 0, jitWins = 0;
+              "cand/s tree", "cand/s reb", "speedup");
+  int stepWins = 0, jitWins = 0;
   for (const Row& r : rows) {
-    std::printf(
-        "%-12s %12.0f %12.0f %12.0f %7.2fx %12.0f %12.0f %12.0f %12.0f "
-        "%7.2fx\n",
-        r.name.c_str(), r.stepsTree, r.stepsTape, r.stepsJit,
-        r.jitStepSpeedup(), r.candTree, r.candRebind, r.candIncr,
-        r.candJitIncr, r.incrSpeedup());
+    std::printf("%-12s %12.0f %12.0f %12.0f %7.2fx %12.0f %12.0f %7.2fx\n",
+                r.name.c_str(), r.stepsTree, r.stepsTape, r.stepsJit,
+                r.jitStepSpeedup(), r.candTree, r.candRebind,
+                r.rebindSpeedup());
     stepWins += r.stepSpeedup() >= 3.0 ? 1 : 0;
-    incrWins += r.incrSpeedup() >= 5.0 ? 1 : 0;
     jitWins += r.jitStepSpeedup() >= 1.5 ? 1 : 0;
   }
-  std::printf("models with step speedup >= 3x: %d/%zu; incremental "
-              "candidate speedup >= 5x: %d/%zu\n",
-              stepWins, rows.size(), incrWins, rows.size());
+  std::printf("models with step speedup >= 3x: %d/%zu\n", stepWins,
+              rows.size());
   if (haveJit) {
     std::printf("models with jit step speedup >= 1.5x over tape: %d/%zu\n",
                 jitWins, rows.size());

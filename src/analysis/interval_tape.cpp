@@ -56,21 +56,12 @@ IntervalTapeBuild buildIntervalTape(const std::vector<expr::ExprPtr>& roots) {
   for (const auto& r : roots) out.rootSlots.push_back(b.addRoot(r));
   out.rawTape = b.finish();
   expr::maybeRequireVerifiedTape(*out.rawTape, "buildIntervalTape(raw)");
-  if (expr::tapeOptEnabled()) {
-    expr::OptimizedTape opt =
-        expr::optimizeTape(out.rawTape, {}, intervalSafePassOptions());
-    expr::maybeRequireVerifiedTape(*opt.tape, "buildIntervalTape(optimized)");
-    out.tape = std::move(opt.tape);
-    out.stats = opt.stats;
-    for (expr::SlotRef& r : out.rootSlots) r = opt.remap(r);
-  } else {
-    out.tape = out.rawTape;
-    out.stats.instrsBefore = out.stats.instrsAfter = out.tape->code().size();
-    out.stats.scalarSlotsBefore = out.stats.scalarSlotsAfter =
-        out.tape->scalarSlotCount();
-    out.stats.arraySlotsBefore = out.stats.arraySlotsAfter =
-        out.tape->arraySlotCount();
-  }
+  expr::OptimizedTape opt =
+      expr::optimizeTape(out.rawTape, {}, intervalSafePassOptions());
+  expr::maybeRequireVerifiedTape(*opt.tape, "buildIntervalTape(optimized)");
+  out.tape = std::move(opt.tape);
+  out.stats = opt.stats;
+  for (expr::SlotRef& r : out.rootSlots) r = opt.remap(r);
   return out;
 }
 

@@ -35,9 +35,8 @@ namespace stcg::analysis {
 [[nodiscard]] expr::TapePassOptions intervalSafePassOptions();
 
 /// Build one CSE-shared tape over `roots` and run the interval-safe
-/// pass pipeline on it (skipped under STCG_TAPE_OPT=0). `roots[i]`'s
-/// slot is `rootSlots[i]` on `tape`; `rawTape` keeps the unoptimized
-/// build as the differential oracle.
+/// pass pipeline on it. `roots[i]`'s slot is `rootSlots[i]` on `tape`;
+/// `rawTape` keeps the unoptimized build as the differential oracle.
 struct IntervalTapeBuild {
   std::shared_ptr<const expr::Tape> tape;
   std::shared_ptr<const expr::Tape> rawTape;

@@ -41,34 +41,23 @@ ModelTape buildModelTape(const CompiledModel& cm, bool wantJit) {
   mt.rawTape = b.finish();
   expr::maybeRequireVerifiedTape(*mt.rawTape, "buildModelTape(raw)");
 
-  if (expr::tapeOptEnabled()) {
-    expr::OptimizedTape opt = expr::optimizeTape(mt.rawTape);
-    expr::maybeRequireVerifiedTape(*opt.tape, "buildModelTape(optimized)");
-    mt.tape = std::move(opt.tape);
-    mt.passStats = opt.stats;
-    const auto remapAll = [&](std::vector<expr::SlotRef>& refs) {
-      for (expr::SlotRef& r : refs) r = opt.remap(r);
-    };
-    remapAll(mt.decisionActivations);
-    for (auto& arms : mt.decisionArms) remapAll(arms);
-    for (auto& conds : mt.decisionConditions) remapAll(conds);
-    remapAll(mt.objectiveActivations);
-    remapAll(mt.objectiveConds);
-    remapAll(mt.outputs);
-    remapAll(mt.stateNext);
-  } else {
-    mt.tape = mt.rawTape;
-    mt.passStats.instrsBefore = mt.passStats.instrsAfter =
-        mt.rawTape->code().size();
-    mt.passStats.scalarSlotsBefore = mt.passStats.scalarSlotsAfter =
-        mt.rawTape->scalarSlotCount();
-    mt.passStats.arraySlotsBefore = mt.passStats.arraySlotsAfter =
-        mt.rawTape->arraySlotCount();
-  }
+  expr::OptimizedTape opt = expr::optimizeTape(mt.rawTape);
+  expr::maybeRequireVerifiedTape(*opt.tape, "buildModelTape(optimized)");
+  mt.tape = std::move(opt.tape);
+  mt.passStats = opt.stats;
+  const auto remapAll = [&](std::vector<expr::SlotRef>& refs) {
+    for (expr::SlotRef& r : refs) r = opt.remap(r);
+  };
+  remapAll(mt.decisionActivations);
+  for (auto& arms : mt.decisionArms) remapAll(arms);
+  for (auto& conds : mt.decisionConditions) remapAll(conds);
+  remapAll(mt.objectiveActivations);
+  remapAll(mt.objectiveConds);
+  remapAll(mt.outputs);
+  remapAll(mt.stateNext);
 
   if (wantJit) {
-    mt.jit = expr::TapeJit::compile(mt.tape, expr::TapeJit::Options{},
-                                    &mt.jitError);
+    mt.jit = expr::TapeJit::compile(mt.tape, &mt.jitError);
   }
   return mt;
 }

@@ -24,8 +24,7 @@ namespace stcg::compile {
 ///
 /// `tape` is the pass-pipeline-optimized tape all engines execute (the
 /// SlotRefs below index it); `rawTape` keeps the unoptimized build as
-/// the differential oracle, and `passStats` reports the shrink. With
-/// STCG_TAPE_OPT=0 both point at the raw tape.
+/// the differential oracle, and `passStats` reports the shrink.
 struct ModelTape {
   std::shared_ptr<const expr::Tape> tape;
   std::shared_ptr<const expr::Tape> rawTape;

@@ -231,9 +231,9 @@ BatchTapeExecutor::BatchTapeExecutor(std::shared_ptr<const Tape> tape,
   // Move-eligibility for the array-copying ops (kStore, array kIte). The
   // per-lane vector copy degrades to an O(1) buffer swap when the consumed
   // array slot (a) is written by an earlier instruction — recomputed on
-  // every run; run() always executes the full tape, this executor has no
-  // partial cone replay — (b) is not a root (the only slots callers may
-  // read after run()), and (c) has no later reader. The stale buffer the
+  // every run, since run() always executes the full tape — (b) is not a
+  // root (the only slots callers may read after run()), and (c) has no
+  // later reader. The stale buffer the
   // swap leaves in the dead slot is overwritten by that slot's defining
   // instruction on the next run before anything reads it. Per-slot (not
   // per-live-range) liveness is conservative under optimizer slot reuse.

@@ -190,21 +190,10 @@ ArrayLayout computeArrayLayout(const Tape& t) {
 // is on dynamic slots (kSelect over non-uniform arrays), which goes through
 // the tagged g_* helpers that mirror applyUnary/applyBinary.
 
-std::string fmtDouble(double v) {
-  char buf[64];
-  if (!std::isfinite(v)) {
-    std::snprintf(buf, sizeof buf, "br_(0x%016llxULL)",
-                  static_cast<unsigned long long>(realBits(v)));
-  } else {
-    std::snprintf(buf, sizeof buf, "%a", v);  // hexfloat: exact round trip
-  }
-  return buf;
-}
-
 class CEmitter {
  public:
-  CEmitter(const Tape& t, const TapeJit::Options& opts, const ArrayLayout& lay)
-      : t_(t), opts_(opts), lay_(lay), st_(analyzeTapeStaticTypes(t)) {}
+  CEmitter(const Tape& t, const ArrayLayout& lay)
+      : t_(t), lay_(lay), st_(analyzeTapeStaticTypes(t)) {}
 
   /// The whole translation unit, minus the trailing tag symbol.
   std::string source() {
@@ -222,29 +211,6 @@ class CEmitter {
          S(static_cast<std::int64_t>(t_.scalarSlotCount())) + ", an + l * " +
          S(static_cast<std::int64_t>(t_.arraySlotCount())) + ", ae + l * " +
          S(lay_.total) + ", at + l * " + S(lay_.total) + ");\n  }\n}\n\n";
-    if (opts_.overlay != nullptr) {
-      o += overlayFn();
-      o += "double stcg_distance" + kSig +
-           " {\n  step_one(sv, st, an, ae, at);\n"
-           "  return overlay_one(sv, st, an, ae, at);\n}\n\n";
-      o += "void stcg_distance_lanes(i64 n, u64* sv, u8* st, i64* an, "
-           "u64* ae, u8* at, double* out) {\n"
-           "  for (i64 l = 0; l < n; ++l) {\n"
-           "    u64* s = sv + l * " +
-           S(static_cast<std::int64_t>(t_.scalarSlotCount())) +
-           "; u8* tt = st + l * " +
-           S(static_cast<std::int64_t>(t_.scalarSlotCount())) +
-           ";\n    i64* nn = an + l * " +
-           S(static_cast<std::int64_t>(t_.arraySlotCount())) +
-           "; u64* e = ae + l * " + S(lay_.total) + "; u8* et = at + l * " +
-           S(lay_.total) +
-           ";\n    step_one(s, tt, nn, e, et);\n"
-           "    out[l] = overlay_one(s, tt, nn, e, et);\n  }\n}\n\n";
-    }
-    for (const VarId v : opts_.coneVars) {
-      if (v < 0) continue;
-      o += coneFn(v);
-    }
     return o;
   }
 
@@ -607,106 +573,12 @@ class CEmitter {
     return o;
   }
 
-  std::string overlayBody() const {
-    const JitOverlay& ov = *opts_.overlay;
-    std::string o =
-        "  double d[" +
-        S(std::max<std::int64_t>(1,
-                                 static_cast<std::int64_t>(ov.init.size()))) +
-        "];\n";
-    for (std::size_t i = 0; i < ov.init.size(); ++i) {
-      o += "  d[" + S(static_cast<std::int64_t>(i)) +
-           "] = " + fmtDouble(ov.init[i]) + ";\n";
-    }
-    const std::string eps = fmtDouble(1e-6);  // overlayStep's kEps
-    for (const JitOverlayInstr& in : ov.code) {
-      const std::string dst = "d[" + S(in.dst) + "]";
-      switch (in.kind) {
-        case JitOverlayInstr::Kind::kSum:
-          o += "  " + dst + " = d[" + S(in.a) + "] + d[" + S(in.b) + "];\n";
-          break;
-        case JitOverlayInstr::Kind::kMin:
-          // std::min(a, b): b when b < a, else a (NaN behavior included).
-          o += "  " + dst + " = d[" + S(in.b) + "] < d[" + S(in.a) +
-               "] ? d[" + S(in.b) + "] : d[" + S(in.a) + "];\n";
-          break;
-        case JitOverlayInstr::Kind::kCmp: {
-          const std::string l = rdReal(in.va);
-          const std::string r = rdReal(in.vb);
-          std::string e;
-          switch (in.cmpOp) {
-            case Op::kEq:
-              e = in.want ? "fabs(x - y)"
-                          : "fabs(x - y) == 0.0 ? 1.0 : 0.0";
-              break;
-            case Op::kNe:
-              e = in.want ? "fabs(x - y) == 0.0 ? 1.0 : 0.0"
-                          : "fabs(x - y)";
-              break;
-            case Op::kLt:
-              e = in.want ? "x - y < 0.0 ? 0.0 : (x - y) + " + eps
-                          : "x - y >= 0.0 ? 0.0 : " + eps + " - (x - y)";
-              break;
-            case Op::kLe:
-              e = in.want ? "x - y <= 0.0 ? 0.0 : x - y"
-                          : "x - y > 0.0 ? 0.0 : " + eps + " - (x - y)";
-              break;
-            case Op::kGt:
-              e = in.want ? "y - x < 0.0 ? 0.0 : (y - x) + " + eps
-                          : "y - x >= 0.0 ? 0.0 : " + eps + " - (y - x)";
-              break;
-            default:  // kGe
-              e = in.want ? "y - x <= 0.0 ? 0.0 : y - x"
-                          : "y - x > 0.0 ? 0.0 : " + eps + " - (y - x)";
-              break;
-          }
-          o += "  { double x = " + l + ", y = " + r + "; " + dst + " = " + e +
-               "; }\n";
-          break;
-        }
-        case JitOverlayInstr::Kind::kTruth:
-          o += "  " + dst + " = " + rdBool(in.va) + " == " +
-               (in.want ? "1" : "0") + " ? 0.0 : 1.0;\n";
-          break;
-      }
-    }
-    o += "  return d[" + S(opts_.overlay->root) + "];\n";
-    return o;
-  }
-
-  std::string overlayFn() const {
-    return "static double overlay_one" + kSig + " {\n" + kUnused +
-           overlayBody() + "}\n\n";
-  }
-
-  std::string coneFn(VarId v) const {
-    const std::vector<std::int32_t>* cone = t_.coneOf(v);
-    std::string o = "void stcg_cone_v" + S(v) + kSig + " {\n" + kUnused;
-    if (cone != nullptr) {
-      for (const std::int32_t idx : *cone) {
-        o += blocks_[static_cast<std::size_t>(idx)];
-      }
-    }
-    o += "}\n\n";
-    if (opts_.overlay != nullptr) {
-      o += "double stcg_distance_cone_v" + S(v) + kSig + " {\n" + kUnused;
-      if (cone != nullptr) {
-        for (const std::int32_t idx : *cone) {
-          o += blocks_[static_cast<std::size_t>(idx)];
-        }
-      }
-      o += overlayBody() + "}\n\n";
-    }
-    return o;
-  }
-
   static inline const std::string kSig =
       "(u64* sv, u8* st, i64* an, u64* ae, u8* at)";
   static inline const std::string kUnused =
       "  (void)sv; (void)st; (void)an; (void)ae; (void)at;\n";
 
   const Tape& t_;
-  const TapeJit::Options& opts_;
   const ArrayLayout& lay_;
   TapeStaticTypes st_;
   std::vector<std::string> blocks_;
@@ -773,23 +645,8 @@ TapeJit::~TapeJit() {
 #endif
 }
 
-TapeJit::Frame TapeJit::cone(VarId var) const {
-  const auto it = std::lower_bound(
-      cones_.begin(), cones_.end(), var,
-      [](const std::pair<VarId, Frame>& p, VarId v) { return p.first < v; });
-  return it != cones_.end() && it->first == var ? it->second : nullptr;
-}
-
-TapeJit::DistFn TapeJit::distanceCone(VarId var) const {
-  const auto it = std::lower_bound(
-      distCones_.begin(), distCones_.end(), var,
-      [](const std::pair<VarId, DistFn>& p, VarId v) { return p.first < v; });
-  return it != distCones_.end() && it->first == var ? it->second : nullptr;
-}
-
 std::shared_ptr<const TapeJit> TapeJit::compile(
-    const std::shared_ptr<const Tape>& tape, const Options& opts,
-    std::string* whyNot) {
+    const std::shared_ptr<const Tape>& tape, std::string* whyNot) {
   const auto fail = [&](const std::string& why, const char* severity =
                             "warning") -> std::shared_ptr<const TapeJit> {
     recordDiagnostic(severity, "jit-unavailable", why);
@@ -809,7 +666,7 @@ std::shared_ptr<const TapeJit> TapeJit::compile(
   }
 
   const ArrayLayout lay = computeArrayLayout(*tape);
-  CEmitter em(*tape, opts, lay);
+  CEmitter em(*tape, lay);
   std::string src = em.source();
   const std::string hash = fnv1a(src);
   src += "const char stcg_jit_tag[] = \"" + hash + "\";\n";
@@ -882,28 +739,6 @@ std::shared_ptr<const TapeJit> TapeJit::compile(
   jit->totalCap_ = lay.total;
   jit->step_ = reinterpret_cast<Frame>(::dlsym(handle, "stcg_step"));
   jit->lanes_ = reinterpret_cast<LanesFn>(::dlsym(handle, "stcg_run_lanes"));
-  if (opts.overlay != nullptr) {
-    jit->dist_ = reinterpret_cast<DistFn>(::dlsym(handle, "stcg_distance"));
-    jit->distLanes_ =
-        reinterpret_cast<DistLanesFn>(::dlsym(handle, "stcg_distance_lanes"));
-    if (jit->dist_ == nullptr || jit->distLanes_ == nullptr) {
-      return fail("compiled module is missing distance symbols");
-    }
-  }
-  for (const VarId v : opts.coneVars) {
-    if (v < 0) continue;
-    const std::string n = std::to_string(v);
-    if (auto* f = ::dlsym(handle, ("stcg_cone_v" + n).c_str())) {
-      jit->cones_.emplace_back(v, reinterpret_cast<Frame>(f));
-    }
-    if (opts.overlay != nullptr) {
-      if (auto* f = ::dlsym(handle, ("stcg_distance_cone_v" + n).c_str())) {
-        jit->distCones_.emplace_back(v, reinterpret_cast<DistFn>(f));
-      }
-    }
-  }
-  std::sort(jit->cones_.begin(), jit->cones_.end());
-  std::sort(jit->distCones_.begin(), jit->distCones_.end());
   moduleMemo()[hash] = jit;
   return jit;
 #endif  // STCG_JIT_HAVE_DLOPEN
@@ -1049,44 +884,6 @@ void JitTapeExecutor::runBatch(int n) {
   n = std::clamp(n, 1, lanes_);
   requireAllBound(n);
   jit_->runLanes()(n, sv(0), st(0), an(0), ae(0), at(0));
-}
-
-void JitTapeExecutor::runCone(VarId id) {
-  requireAllBound(1);
-  if (tape_->coneOf(id) == nullptr) return;  // nothing depends on id
-  if (const TapeJit::Frame f = jit_->cone(id)) {
-    f(sv(0), st(0), an(0), ae(0), at(0));
-  } else {
-    jit_->step()(sv(0), st(0), an(0), ae(0), at(0));  // full replay
-  }
-}
-
-double JitTapeExecutor::runDistance() {
-  if (!jit_->hasOverlay()) {
-    throw EvalError("JitTapeExecutor: module compiled without an overlay");
-  }
-  requireAllBound(1);
-  return jit_->distance()(sv(0), st(0), an(0), ae(0), at(0));
-}
-
-double JitTapeExecutor::runDistanceCone(VarId id) {
-  if (!jit_->hasOverlay()) {
-    throw EvalError("JitTapeExecutor: module compiled without an overlay");
-  }
-  requireAllBound(1);
-  if (const TapeJit::DistFn f = jit_->distanceCone(id)) {
-    return f(sv(0), st(0), an(0), ae(0), at(0));
-  }
-  return jit_->distance()(sv(0), st(0), an(0), ae(0), at(0));
-}
-
-void JitTapeExecutor::runDistanceBatch(int n, double* out) {
-  if (!jit_->hasOverlay()) {
-    throw EvalError("JitTapeExecutor: module compiled without an overlay");
-  }
-  n = std::clamp(n, 1, lanes_);
-  requireAllBound(n);
-  jit_->distanceLanes()(n, sv(0), st(0), an(0), ae(0), at(0), out);
 }
 
 Scalar JitTapeExecutor::scalarLane(int lane, SlotRef r) const {

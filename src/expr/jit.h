@@ -1,7 +1,6 @@
 // Tape -> native JIT: emit straight-line C from a compiled Tape, build it
 // with the system C compiler into a shared object, dlopen it, and run the
-// model step (plus the optional Korel/Tracey distance overlay and B-wide
-// batch lanes) as native code.
+// model step (one frame, or B lane frames per call) as native code.
 //
 // The emitted C is a transliteration of TapeExecutor::exec, one block per
 // instruction, specialized on the static slot types analyzeTapeStaticTypes
@@ -19,10 +18,10 @@
 // throws on environment failures (no compiler, failed dlopen, stale or
 // corrupt cached .so). It returns nullptr with a reason, records a
 // severity-tagged diagnostic (jitDiagnostics()), and callers degrade to
-// the interpreted tape. STCG_JIT=0 disables the JIT process-wide
-// (mirroring STCG_TAPE_OPT); STCG_JIT_CC overrides the compiler command
-// (default "cc"); STCG_JIT_CACHE overrides the on-disk .so cache
-// directory (default "$TMPDIR/stcg-jit-cache"). Compiled modules are
+// the interpreted tape. STCG_JIT=0 disables the JIT process-wide;
+// STCG_JIT_CC overrides the compiler command (default "cc");
+// STCG_JIT_CACHE overrides the on-disk .so cache directory (default
+// "$TMPDIR/stcg-jit-cache"). Compiled modules are
 // keyed by a hash of the emitted source, memoized in-process and cached
 // on disk with an embedded tag symbol so stale objects are detected,
 // discarded and rebuilt instead of trusted.
@@ -38,7 +37,7 @@
 
 namespace stcg::expr {
 
-/// False when STCG_JIT=0 (checked once per process, like STCG_TAPE_OPT).
+/// False when STCG_JIT=0 (checked once per process).
 [[nodiscard]] bool jitEnabled();
 
 /// The C compiler command: STCG_JIT_CC when set and non-empty, else "cc".
@@ -61,44 +60,16 @@ void clearJitDiagnostics();
 /// back through the on-disk cache and, if needed, the compiler).
 void jitClearCache();
 
-/// Expr-layer mirror of solver::DistanceTape's overlay program, so the
-/// emitter can compile the distance recursion without depending on the
-/// solver layer. solver::DistanceTape converts its DistanceProgram into
-/// this field for field (the kinds and operand meanings are identical).
-struct JitOverlayInstr {
-  enum class Kind { kSum, kMin, kCmp, kTruth };
-  Kind kind = Kind::kSum;
-  std::int32_t dst = -1;
-  std::int32_t a = -1, b = -1;    // distance-slot operands (kSum/kMin)
-  std::int32_t va = -1, vb = -1;  // value-tape scalar slots (kCmp/kTruth)
-  Op cmpOp = Op::kEq;             // kCmp
-  bool want = true;               // kCmp/kTruth
-};
-struct JitOverlay {
-  std::vector<JitOverlayInstr> code;
-  std::vector<double> init;  // per-slot initial value (constants pre-set)
-  std::int32_t root = -1;
-};
-
 /// One compiled native module for one tape. Immutable; shared by any
 /// number of JitTapeExecutor frames (and across Simulators of the same
 /// model via the in-process memo).
 class TapeJit {
  public:
-  struct Options {
-    /// Variables to emit native dirty-cone replay functions for (the
-    /// local-search mutation set). Vars without a cone get a no-op.
-    std::vector<VarId> coneVars;
-    /// Distance overlay to compile after the step body (nullptr = none).
-    const JitOverlay* overlay = nullptr;
-  };
-
   /// Emit + compile + load. Returns nullptr (with *whyNot set and a
   /// diagnostic recorded) when the JIT is disabled or the toolchain /
   /// cache / loader fails. Environment failures never throw.
   static std::shared_ptr<const TapeJit> compile(
-      const std::shared_ptr<const Tape>& tape, const Options& opts,
-      std::string* whyNot = nullptr);
+      const std::shared_ptr<const Tape>& tape, std::string* whyNot = nullptr);
 
   ~TapeJit();
   TapeJit(const TapeJit&) = delete;
@@ -114,22 +85,9 @@ class TapeJit {
   using LanesFn = void (*)(std::int64_t n, std::uint64_t* sv,
                            std::uint8_t* st, std::int64_t* an,
                            std::uint64_t* ae, std::uint8_t* at);
-  using DistFn = double (*)(std::uint64_t* sv, std::uint8_t* st,
-                            std::int64_t* an, std::uint64_t* ae,
-                            std::uint8_t* at);
-  using DistLanesFn = void (*)(std::int64_t n, std::uint64_t* sv,
-                               std::uint8_t* st, std::int64_t* an,
-                               std::uint64_t* ae, std::uint8_t* at,
-                               double* out);
 
   [[nodiscard]] Frame step() const { return step_; }
   [[nodiscard]] LanesFn runLanes() const { return lanes_; }
-  [[nodiscard]] bool hasOverlay() const { return dist_ != nullptr; }
-  [[nodiscard]] DistFn distance() const { return dist_; }
-  [[nodiscard]] DistLanesFn distanceLanes() const { return distLanes_; }
-  /// Native cone replay for `var`, nullptr when none was requested.
-  [[nodiscard]] Frame cone(VarId var) const;
-  [[nodiscard]] DistFn distanceCone(VarId var) const;
 
   // Frame geometry (what a JitTapeExecutor must allocate).
   [[nodiscard]] std::size_t scalarSlots() const { return ns_; }
@@ -151,10 +109,6 @@ class TapeJit {
   void* handle_ = nullptr;
   Frame step_ = nullptr;
   LanesFn lanes_ = nullptr;
-  DistFn dist_ = nullptr;
-  DistLanesFn distLanes_ = nullptr;
-  std::vector<std::pair<VarId, Frame>> cones_;        // sorted by VarId
-  std::vector<std::pair<VarId, DistFn>> distCones_;   // sorted by VarId
   std::size_t ns_ = 0, na_ = 0;
   std::vector<std::int64_t> arrayCap_, arrayOff_;
   std::int64_t totalCap_ = 0;
@@ -191,17 +145,6 @@ class JitTapeExecutor {
   void run();
   /// Execute lanes [0, n) (n <= lanes()); all of them must be bound.
   void runBatch(int n);
-  /// Native dirty-cone replay for `id` on lane 0; falls back to a full
-  /// run() when the module has no cone function for `id` (bit-identical,
-  /// just slower). Requires a prior successful run().
-  void runCone(VarId id);
-
-  /// Step + distance overlay on lane 0. Requires a module compiled with
-  /// an overlay (throws EvalError otherwise).
-  double runDistance();
-  double runDistanceCone(VarId id);
-  /// Step + overlay across lanes [0, n); out[l] receives lane l's root.
-  void runDistanceBatch(int n, double* out);
 
   /// Lane-0 slot reads, materialized from payload + tag.
   [[nodiscard]] Scalar scalar(SlotRef r) const { return scalarLane(0, r); }

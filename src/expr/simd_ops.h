@@ -106,7 +106,7 @@ inline std::uint64_t bNotOp(std::uint64_t a) { return a ^ 1; }
 
 // ---- distance-overlay ops (double rows, solver::DistanceProgram) --------
 
-inline constexpr double kDistEps = 1e-6;  // branchDistance's atom epsilon
+inline constexpr double kDistEps = 1e-6;  // the branch distance's atom epsilon
 
 inline double dSumOp(double a, double b) { return a + b; }
 inline double dMinOp(double a, double b) { return b < a ? b : a; }  // std::min

@@ -51,73 +51,6 @@ std::uint64_t instrKey(const TapeInstr& in) {
 
 }  // namespace
 
-void Tape::recomputeCones() {
-  // Dirty cones: propagate per-slot variable-dependency bitsets through
-  // the (topologically ordered) code, then invert into per-variable
-  // ascending instruction lists. Exact for single-assignment tapes and
-  // for pass-pipeline tapes whose shared slots have equal-dependency
-  // writers (the only sharing the linear-scan reallocator performs).
-  cones_.clear();
-  maxConeSize_ = 0;
-  std::vector<VarId> vars;
-  for (const auto& b : varBindings_) vars.push_back(b.var);
-  for (const auto& b : arrayBindings_) vars.push_back(b.var);
-  std::sort(vars.begin(), vars.end());
-  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-  const std::size_t nVars = vars.size();
-  const std::size_t words = (nVars + 63) / 64;
-  const auto varIndex = [&](VarId v) {
-    return static_cast<std::size_t>(
-        std::lower_bound(vars.begin(), vars.end(), v) - vars.begin());
-  };
-
-  std::vector<std::uint64_t> sdeps(scalarInit_.size() * words, 0);
-  std::vector<std::uint64_t> adeps(arrayInit_.size() * words, 0);
-  const auto depWord = [&](std::vector<std::uint64_t>& v, std::int32_t slot) {
-    return v.data() + static_cast<std::size_t>(slot) * words;
-  };
-  for (const auto& b : varBindings_) {
-    const std::size_t i = varIndex(b.var);
-    depWord(sdeps, b.slot)[i / 64] |= 1ULL << (i % 64);
-  }
-  for (const auto& b : arrayBindings_) {
-    const std::size_t i = varIndex(b.var);
-    depWord(adeps, b.slot)[i / 64] |= 1ULL << (i % 64);
-  }
-
-  std::vector<std::vector<std::int32_t>> cones(nVars);
-  for (std::size_t idx = 0; idx < code_.size(); ++idx) {
-    const TapeInstr& in = code_[idx];
-    std::uint64_t* dst =
-        in.arrayResult ? depWord(adeps, in.dst) : depWord(sdeps, in.dst);
-    forEachTapeOperand(in, [&](std::int32_t slot, bool isArray) {
-      const std::uint64_t* src =
-          isArray ? depWord(adeps, slot) : depWord(sdeps, slot);
-      for (std::size_t w = 0; w < words; ++w) dst[w] |= src[w];
-    });
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = dst[w];
-      while (bits != 0) {
-        const auto bit = static_cast<std::size_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        cones[w * 64 + bit].push_back(static_cast<std::int32_t>(idx));
-      }
-    }
-  }
-  for (std::size_t i = 0; i < nVars; ++i) {
-    maxConeSize_ = std::max(maxConeSize_, cones[i].size());
-    cones_.emplace_back(vars[i], std::move(cones[i]));
-  }
-}
-
-const std::vector<std::int32_t>* Tape::coneOf(VarId var) const {
-  const auto it = std::lower_bound(
-      cones_.begin(), cones_.end(), var,
-      [](const auto& entry, VarId v) { return entry.first < v; });
-  if (it == cones_.end() || it->first != var) return nullptr;
-  return &it->second;
-}
-
 SlotRef TapeBuilder::addRoot(const ExprPtr& e) {
   if (tape_ == nullptr) {
     throw EvalError("TapeBuilder::addRoot after finish()");
@@ -261,8 +194,6 @@ std::shared_ptr<const Tape> TapeBuilder::finish() {
               return x.var < y.var;
             });
 
-  t.recomputeCones();
-
   std::shared_ptr<const Tape> out = std::move(tape_);
   tape_ = nullptr;
   return out;
@@ -385,16 +316,6 @@ void TapeExecutor::exec(const TapeInstr& in) {
 void TapeExecutor::run() {
   requireAllBound();
   for (const TapeInstr& in : tape_->code()) exec(in);
-}
-
-void TapeExecutor::runCone(VarId id) {
-  requireAllBound();
-  const auto* cone = tape_->coneOf(id);
-  if (cone == nullptr) return;
-  const auto& code = tape_->code();
-  for (const std::int32_t idx : *cone) {
-    exec(code[static_cast<std::size_t>(idx)]);
-  }
 }
 
 }  // namespace stcg::expr

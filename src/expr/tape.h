@@ -9,21 +9,16 @@
 // single non-recursive switch loop over dense slot vectors — no shared_ptr
 // dereferences, no memo hashing, no recursion.
 //
-// Three engines execute the same tape:
+// Engines executing the same tape (expr::TapeJit compiles it natively):
 //   - TapeExecutor (here): concrete Scalar slots, bit-identical to the
 //     tree Evaluator (same applyUnary/applyBinary/castTo calls in the same
 //     order, same guarded kDiv/kMod and clamped kSelect/kStore semantics).
 //   - analysis::IntervalTapeExecutor: interval slots, one or many lanes,
 //     by the per-op rules of interval/transfer.h that IntervalEvaluator
 //     and HC4 share (the abstract domain of the reachability pass).
-//   - solver::DistanceTape: a branch-distance overlay for local search.
-//
-// Incremental re-evaluation: finish() precomputes, per variable, the
-// ascending list of instructions whose result transitively depends on that
-// variable (its "dirty cone"). Rebinding one variable and replaying only
-// its cone — runCone() — recomputes exactly the affected slots, which is
-// what makes tape-backed local search fast: one mutated input re-executes
-// a handful of instructions instead of the whole model.
+//   - expr::BatchTapeExecutor: B lanes per pass (the simulator's lockstep
+//     replay, the box solver's candidate certification, and local search's
+//     branch-distance scorer, solver::BatchDistanceTape).
 //
 // Strictness note: the tree Evaluator throws on an *unbound variable it
 // reaches* (kIte arms are lazy); the tape binds eagerly, so run() requires
@@ -128,20 +123,6 @@ class Tape {
     return arrayBindings_;
   }
 
-  /// Ascending instruction indices transitively affected by `var`
-  /// (scalar or array variable), or nullptr when the tape has no such
-  /// variable / nothing depends on it.
-  [[nodiscard]] const std::vector<std::int32_t>* coneOf(VarId var) const;
-
-  /// Every dirty cone, sorted by VarId (verifier / pass-pipeline input).
-  [[nodiscard]] const std::vector<std::pair<VarId, std::vector<std::int32_t>>>&
-  cones() const {
-    return cones_;
-  }
-
-  /// Largest dirty-cone size (diagnostics / bench reporting).
-  [[nodiscard]] std::size_t maxConeSize() const { return maxConeSize_; }
-
   /// Slots handed out by TapeBuilder::addRoot, in call order (duplicates
   /// kept). These are the externally visible reads the optimizer must
   /// keep live; producers with extra out-of-tape reads (the distance
@@ -154,11 +135,6 @@ class Tape {
   friend class TapeBuilder;
   friend class TapeRewriter;
 
-  /// Re-derive cones_ / maxConeSize_ from code_ and the bindings (the
-  /// algorithm TapeBuilder::finish runs; the pass pipeline reruns it
-  /// after rewriting the code).
-  void recomputeCones();
-
   std::vector<TapeInstr> code_;
   std::vector<Scalar> scalarInit_;
   std::vector<std::vector<Scalar>> arrayInit_;
@@ -167,16 +143,13 @@ class Tape {
   std::vector<TapeVarBinding> varBindings_;
   std::vector<TapeArrayBinding> arrayBindings_;
   std::vector<SlotRef> rootSlots_;
-  // Sorted by VarId; cones hold ascending instruction indices.
-  std::vector<std::pair<VarId, std::vector<std::int32_t>>> cones_;
-  std::size_t maxConeSize_ = 0;
   // Roots pinned so slot-keyed references can never dangle (mirrors the
   // Evaluator's pinnedRoots_ contract).
   std::vector<ExprPtr> pinnedRoots_;
 };
 
 /// Visit each operand slot of `in` as fn(slot, isArray). Shared by the
-/// cone computation, the verifier and the optimizer passes.
+/// verifier, the optimizer passes and the executors' analyses.
 template <typename Fn>
 void forEachTapeOperand(const TapeInstr& in, Fn&& fn) {
   switch (in.op) {
@@ -226,7 +199,7 @@ class TapeBuilder {
   /// Throws EvalError if `e` was never emitted.
   [[nodiscard]] SlotRef slotOf(const Expr* e) const;
 
-  /// Seal the tape: computes per-variable dirty cones. The builder must
+  /// Seal the tape: sorts the variable binding tables. The builder must
   /// not be reused afterwards.
   [[nodiscard]] std::shared_ptr<const Tape> finish();
 
@@ -267,10 +240,6 @@ class TapeExecutor {
   /// Execute the full tape. Throws EvalError naming the first unbound
   /// variable (checked once; later runs skip the scan).
   void run();
-
-  /// Re-execute only the instructions depending on `id` — the dirty cone.
-  /// Requires a prior full run() with all variables bound.
-  void runCone(VarId id);
 
   [[nodiscard]] const Scalar& scalar(SlotRef r) const {
     return scalars_[static_cast<std::size_t>(r.slot)];

@@ -1,6 +1,7 @@
 #include "expr/tape_passes.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -9,7 +10,6 @@
 
 #include "expr/builder.h"
 #include "expr/tape_verify.h"
-#include "util/env.h"
 
 namespace stcg::expr {
 
@@ -539,7 +539,7 @@ class Pipeline {
     code_ = std::move(kept);
   }
 
-  // ---- phase 5: cone-coherent linear-scan slot reallocation ------------
+  // ---- phase 5: linear-scan slot reallocation ------------------------
 
   /// Re-derive static slot types over the rewritten instruction list.
   /// Aliasing can only improve them (an array kIte arm is uniform
@@ -602,74 +602,14 @@ class Pipeline {
     const std::size_t ns = scalarInit_.size();
     const std::size_t na = t_.arraySlotCount();
 
-    // Variable-dependency class per scalar slot and per instruction.
-    std::vector<VarId> vars;
-    for (const auto& b : t_.varBindings()) vars.push_back(b.var);
-    for (const auto& b : t_.arrayBindings()) vars.push_back(b.var);
-    std::sort(vars.begin(), vars.end());
-    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-    const std::size_t words = (vars.size() + 63) / 64;
-    std::vector<std::uint64_t> sdeps(ns * words, 0);
-    std::vector<std::uint64_t> adeps(na * words, 0);
-    const auto varIndex = [&](VarId v) {
-      return static_cast<std::size_t>(
-          std::lower_bound(vars.begin(), vars.end(), v) - vars.begin());
-    };
-    for (const auto& b : t_.varBindings()) {
-      const std::size_t i = varIndex(b.var);
-      sdeps[static_cast<std::size_t>(b.slot) * words + i / 64] |=
-          1ULL << (i % 64);
-    }
-    for (const auto& b : t_.arrayBindings()) {
-      const std::size_t i = varIndex(b.var);
-      adeps[static_cast<std::size_t>(b.slot) * words + i / 64] |=
-          1ULL << (i % 64);
-    }
-    std::vector<std::uint64_t> ideps(code_.size() * words, 0);
-    for (std::size_t idx = 0; idx < code_.size(); ++idx) {
-      const TapeInstr& in = code_[idx];
-      std::uint64_t* acc = ideps.data() + idx * words;
-      forEachTapeOperand(in, [&](std::int32_t s, bool arr) {
-        const std::uint64_t* src =
-            (arr ? adeps.data() : sdeps.data()) +
-            static_cast<std::size_t>(s) * words;
-        for (std::size_t w = 0; w < words; ++w) acc[w] |= src[w];
-      });
-      std::uint64_t* dst = (in.arrayResult ? adeps.data() : sdeps.data()) +
-                           static_cast<std::size_t>(in.dst) * words;
-      // Single-assignment here, so copy rather than OR (equivalent).
-      std::copy(acc, acc + words, dst);
-    }
-
-    // Dependency classes: equal bitsets share a class id.
-    std::map<std::vector<std::uint64_t>, std::int32_t> classIds;
-    const auto classOf = [&](const std::uint64_t* bits) {
-      std::vector<std::uint64_t> key(bits, bits + words);
-      const auto it = classIds.find(key);
-      if (it != classIds.end()) return it->second;
-      const auto id = static_cast<std::int32_t>(classIds.size());
-      classIds.emplace(std::move(key), id);
-      return id;
-    };
-    std::vector<std::int32_t> slotClass(ns, -1);
-    for (std::size_t s = 0; s < ns; ++s) {
-      slotClass[s] = classOf(sdeps.data() + s * words);
-    }
-    std::vector<std::int32_t> instrClass(code_.size(), -1);
-    for (std::size_t i = 0; i < code_.size(); ++i) {
-      instrClass[i] = classOf(ideps.data() + i * words);
-    }
-
     // Last read per scalar slot; roots, extraLive, constants and
     // variable slots are read "at infinity".
     std::vector<std::int32_t> lastUse(ns, -1);
-    std::vector<std::uint8_t> readersUniform(ns, 1);
     for (std::size_t i = 0; i < code_.size(); ++i) {
       forEachTapeOperand(code_[i], [&](std::int32_t s, bool arr) {
-        if (arr) return;
-        const auto u = static_cast<std::size_t>(s);
-        lastUse[u] = static_cast<std::int32_t>(i);
-        if (instrClass[i] != slotClass[u]) readersUniform[u] = 0;
+        if (!arr) {
+          lastUse[static_cast<std::size_t>(s)] = static_cast<std::int32_t>(i);
+        }
       });
     }
     const auto pinScalar = [&](SlotRef r) {
@@ -685,7 +625,7 @@ class Pipeline {
 
     // Physical assignment. Pinned (const/variable) live slots first, in
     // old-slot order; temporaries at their defining instruction, pulling
-    // from a per-(class, type, dynamic) free list when allowed.
+    // from the free list of their static lane type (type, dynamic).
     physS_.assign(ns, -1);
     std::int32_t next = 0;
     for (std::size_t s = 0; s < ns; ++s) {
@@ -693,17 +633,11 @@ class Pipeline {
         physS_[s] = next++;
       }
     }
-    struct FreeKey {
-      std::int32_t cls;
-      Type type;
-      bool dyn;
-      bool operator<(const FreeKey& o) const {
-        if (cls != o.cls) return cls < o.cls;
-        if (type != o.type) return type < o.type;
-        return dyn < o.dyn;
-      }
+    std::array<std::vector<std::int32_t>, 6> freeLists;  // [type*2 + dyn]
+    const auto freeList = [&](std::size_t s) -> std::vector<std::int32_t>& {
+      return freeLists[static_cast<std::size_t>(types_.scalarType[s]) * 2 +
+                       (types_.scalarDynamic[s] != 0 ? 1 : 0)];
     };
-    std::map<FreeKey, std::vector<std::int32_t>> freeLists;
     std::vector<std::uint8_t> freed(ns, 0);
     for (std::size_t i = 0; i < code_.size(); ++i) {
       const TapeInstr& in = code_[i];
@@ -717,27 +651,19 @@ class Pipeline {
           const auto u = static_cast<std::size_t>(s);
           if (lastUse[u] != static_cast<std::int32_t>(i)) return;
           if (freed[u] != 0 || physS_[u] < 0) return;
-          if (readersUniform[u] == 0) return;
-          if (isConstS_[u] != 0 || isVarS_[u] != 0) return;
           freed[u] = 1;
-          freeLists[{slotClass[u], types_.scalarType[u],
-                     types_.scalarDynamic[u] != 0}]
-              .push_back(physS_[u]);
+          freeList(u).push_back(physS_[u]);
         });
       }
       if (in.arrayResult) continue;
       const auto d = static_cast<std::size_t>(in.dst);
       if (physS_[d] >= 0) continue;  // defensive; single assignment
-      const FreeKey key{instrClass[i], types_.scalarType[d],
-                        types_.scalarDynamic[d] != 0};
-      if (opts_.reuseSlots) {
-        const auto it = freeLists.find(key);
-        if (it != freeLists.end() && !it->second.empty()) {
-          physS_[d] = it->second.back();
-          it->second.pop_back();
-          ++out_.stats.slotsReused;
-          continue;
-        }
+      auto& list = freeList(d);
+      if (opts_.reuseSlots && !list.empty()) {
+        physS_[d] = list.back();
+        list.pop_back();
+        ++out_.stats.slotsReused;
+        continue;
       }
       physS_[d] = next++;
     }
@@ -855,7 +781,6 @@ class Pipeline {
       rw.rootSlots().push_back(out_.remap(r));
     }
     rw.pinnedRoots() = TapeRewriter::pinnedRootsOf(t_);
-    rw.recomputeCones();
 
     out_.stats.instrsAfter = rw.code().size();
     out_.stats.scalarSlotsAfter = nPhysScalar_;
@@ -903,11 +828,6 @@ OptimizedTape optimizeTape(const std::shared_ptr<const Tape>& tape,
                            const std::vector<SlotRef>& extraLive,
                            const TapePassOptions& opts) {
   return Pipeline(tape, extraLive, opts).run();
-}
-
-bool tapeOptEnabled() {
-  static const bool on = util::envFlag("STCG_TAPE_OPT", true);
-  return on;
 }
 
 }  // namespace stcg::expr

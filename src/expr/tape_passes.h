@@ -27,24 +27,20 @@
 //      overlay's interior value taps). Dead constants and variable
 //      bindings are dropped with their slots (setVar ignores ids a tape
 //      does not mention, so callers need not change).
-//   5. Cone-coherent linear-scan slot reallocation — scalar temporaries
-//      whose live ranges do not overlap share one physical slot, which
-//      shrinks both the dense frame and the batch executor's B-wide SoA
-//      footprint (vals_[slot*B + lane]). Sharing is restricted so that
-//      incremental cone replay (runCone) stays exact: a freed slot is
-//      reused only by a value with the same variable-dependency set,
-//      and only when every reader of the dying value has that same
-//      dependency set (then every cone that replays any writer replays
-//      the whole class in order, and no cone observes a stale writer).
-//      Slots also share only with equal static lane types, keeping the
-//      batch executor's typed-lane layout intact. Arrays never share
-//      (executors alias array operands in place). Roots and extraLive
-//      slots are read "at infinity" and are never freed.
+//   5. Linear-scan slot reallocation — scalar temporaries whose live
+//      ranges do not overlap share one physical slot, which shrinks both
+//      the dense frame and the batch executor's B-wide SoA footprint
+//      (vals_[slot*B + lane]). Free lists are keyed by static lane type
+//      (type, dynamic), keeping the batch executor's typed-lane layout
+//      intact, so each key needs only as many slots as it has values live
+//      at once. Arrays never share (executors alias array operands in
+//      place). Roots and extraLive slots are read "at infinity" and are
+//      never freed.
 //
 // The result carries an old->new slot remap (producers rewrite their
-// saved SlotRefs through it) and before/after statistics. Cones are
-// re-derived on the optimized tape. The caller keeps the original tape
-// as the differential oracle; tape_verify.h checks both.
+// saved SlotRefs through it) and before/after statistics. The caller
+// keeps the original tape as the differential oracle; tape_verify.h
+// checks both.
 #pragma once
 
 #include <cstdint>
@@ -121,10 +117,6 @@ struct OptimizedTape {
     const std::vector<SlotRef>& extraLive = {},
     const TapePassOptions& opts = {});
 
-/// False when STCG_TAPE_OPT=0 is set in the environment (checked once
-/// per process) — producers then keep their raw tapes.
-[[nodiscard]] bool tapeOptEnabled();
-
 /// Mutable access to a Tape's internals for the pass pipeline and for
 /// tests that corrupt tapes to exercise the verifier. Rewriting a tape
 /// executors already hold is undefined; rewrite before sharing.
@@ -150,17 +142,11 @@ class TapeRewriter {
     return t_.arrayBindings_;
   }
   [[nodiscard]] std::vector<SlotRef>& rootSlots() { return t_.rootSlots_; }
-  [[nodiscard]] std::vector<std::pair<VarId, std::vector<std::int32_t>>>&
-  cones() {
-    return t_.cones_;
-  }
   [[nodiscard]] std::vector<ExprPtr>& pinnedRoots() { return t_.pinnedRoots_; }
   [[nodiscard]] static const std::vector<ExprPtr>& pinnedRootsOf(
       const Tape& t) {
     return t.pinnedRoots_;
   }
-
-  void recomputeCones() { t_.recomputeCones(); }
 
  private:
   Tape& t_;

@@ -16,82 +16,6 @@ std::uint64_t mixBits(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Per-slot / per-instruction variable-dependency bitsets, recomputed
-/// independently of TapeBuilder (the verifier must not trust the code
-/// path it is checking). Uses the same accumulate-only semantics as the
-/// cone derivation: a slot's set only grows across writers.
-struct DepSets {
-  std::size_t words = 0;
-  std::vector<VarId> vars;                 // sorted, unique
-  std::vector<std::uint64_t> scalar;       // [slot * words]
-  std::vector<std::uint64_t> array;        // [slot * words]
-  std::vector<std::uint64_t> instr;        // [idx * words] dst set after OR
-
-  [[nodiscard]] const std::uint64_t* instrAt(std::size_t idx) const {
-    return instr.data() + idx * words;
-  }
-  [[nodiscard]] bool sameInstrDeps(std::size_t i, std::size_t j) const {
-    return std::equal(instrAt(i), instrAt(i) + words, instrAt(j));
-  }
-};
-
-DepSets computeDepSets(const Tape& t) {
-  DepSets d;
-  for (const auto& b : t.varBindings()) d.vars.push_back(b.var);
-  for (const auto& b : t.arrayBindings()) d.vars.push_back(b.var);
-  std::sort(d.vars.begin(), d.vars.end());
-  d.vars.erase(std::unique(d.vars.begin(), d.vars.end()), d.vars.end());
-  d.words = (d.vars.size() + 63) / 64;
-  d.scalar.assign(t.scalarSlotCount() * d.words, 0);
-  d.array.assign(t.arraySlotCount() * d.words, 0);
-  d.instr.assign(t.code().size() * d.words, 0);
-
-  const auto nScalar = static_cast<std::int32_t>(t.scalarSlotCount());
-  const auto nArray = static_cast<std::int32_t>(t.arraySlotCount());
-  const auto varIndex = [&](VarId v) {
-    return static_cast<std::size_t>(
-        std::lower_bound(d.vars.begin(), d.vars.end(), v) - d.vars.begin());
-  };
-  for (const auto& b : t.varBindings()) {
-    if (b.slot < 0 || b.slot >= nScalar) continue;  // bounds check reports
-    const std::size_t i = varIndex(b.var);
-    d.scalar[static_cast<std::size_t>(b.slot) * d.words + i / 64] |=
-        1ULL << (i % 64);
-  }
-  for (const auto& b : t.arrayBindings()) {
-    if (b.slot < 0 || b.slot >= nArray) continue;
-    const std::size_t i = varIndex(b.var);
-    d.array[static_cast<std::size_t>(b.slot) * d.words + i / 64] |=
-        1ULL << (i % 64);
-  }
-
-  const auto& code = t.code();
-  for (std::size_t idx = 0; idx < code.size(); ++idx) {
-    const TapeInstr& in = code[idx];
-    const bool dstOk = in.arrayResult ? (in.dst >= 0 && in.dst < nArray)
-                                      : (in.dst >= 0 && in.dst < nScalar);
-    std::uint64_t* acc = d.instr.data() + idx * d.words;
-    forEachTapeOperand(in, [&](std::int32_t slot, bool isArray) {
-      const std::int32_t n = isArray ? nArray : nScalar;
-      if (slot < 0 || slot >= n) return;
-      const std::uint64_t* src =
-          (isArray ? d.array.data() : d.scalar.data()) +
-          static_cast<std::size_t>(slot) * d.words;
-      for (std::size_t w = 0; w < d.words; ++w) acc[w] |= src[w];
-    });
-    if (dstOk) {
-      std::uint64_t* dst =
-          (in.arrayResult ? d.array.data() : d.scalar.data()) +
-          static_cast<std::size_t>(in.dst) * d.words;
-      for (std::size_t w = 0; w < d.words; ++w) {
-        dst[w] |= acc[w];
-        acc[w] = dst[w];  // accumulate-only, like the cone derivation
-      }
-    }
-  }
-  return d;
-}
-
 bool isLeafOp(Op op) {
   return op == Op::kConst || op == Op::kConstArray || op == Op::kVar ||
          op == Op::kVarArray;
@@ -120,7 +44,7 @@ class Verifier {
     checkCodeShape();
     checkDefUseAndTypes();
     checkRoots();
-    checkConesAndSharing();
+    checkArraySharing();
     checkCseDuplicates();
     return std::move(result_);
   }
@@ -462,109 +386,24 @@ class Verifier {
     }
   }
 
-  void checkConesAndSharing() {
-    const DepSets d = computeDepSets(t_);
-
-    // Cone exactness: re-derive the per-variable instruction lists from
-    // the recomputed dependency sets and compare with the recorded ones.
-    std::vector<std::vector<std::int32_t>> expect(d.vars.size());
-    for (std::size_t idx = 0; idx < t_.code().size(); ++idx) {
-      const std::uint64_t* bits = d.instrAt(idx);
-      for (std::size_t w = 0; w < d.words; ++w) {
-        std::uint64_t word = bits[w];
-        while (word != 0) {
-          const auto bit = static_cast<std::size_t>(__builtin_ctzll(word));
-          word &= word - 1;
-          expect[w * 64 + bit].push_back(static_cast<std::int32_t>(idx));
-        }
-      }
-    }
-    const auto& recorded = t_.cones();
-    if (recorded.size() != d.vars.size()) {
-      issue(TapeIssueKind::kStaleCone, -1,
-            "tape records " + std::to_string(recorded.size()) +
-                " cones for " + std::to_string(d.vars.size()) +
-                " distinct variables");
-    }
-    for (std::size_t i = 0; i < d.vars.size(); ++i) {
-      const auto* rec = t_.coneOf(d.vars[i]);
-      if (rec == nullptr) {
-        issue(TapeIssueKind::kStaleCone, -1,
-              "no cone recorded for variable id " +
-                  std::to_string(d.vars[i]));
-        continue;
-      }
-      if (*rec != expect[i]) {
-        issue(TapeIssueKind::kStaleCone, -1,
-              "cone of variable id " + std::to_string(d.vars[i]) +
-                  " records " + std::to_string(rec->size()) +
-                  " instructions, dependency recomputation finds " +
-                  std::to_string(expect[i].size()));
-      }
-    }
-
-    // Cone-coherent slot sharing. Collect writers/readers per scalar
-    // slot in instruction order, then enforce: (a) all writers of a
-    // shared slot carry the same (accumulated) dependency set, (b) every
-    // read whose most recent writer is not the slot's final writer has
-    // exactly the writers' dependency set — otherwise an incremental
-    // cone replay can observe the wrong writer's value. Array slots are
-    // never shared (executors alias array operands in place).
+  void checkArraySharing() {
+    // Array slots are never shared: executors alias array operands in
+    // place, so a second writer would clobber a value still being read.
+    // Scalar slots may be shared by any writers whose live ranges do not
+    // overlap; the static lane-type agreement is checkDefUseAndTypes'.
     const auto& code = t_.code();
-    std::vector<std::vector<std::int32_t>> writers(t_.scalarSlotCount());
     std::vector<std::int32_t> arrayWriters(t_.arraySlotCount(), -1);
     for (std::size_t i = 0; i < code.size(); ++i) {
       const TapeInstr& in = code[i];
-      if (in.arrayResult) {
-        if (in.dst < 0 || in.dst >= nArray()) continue;
-        auto& w = arrayWriters[static_cast<std::size_t>(in.dst)];
-        if (w >= 0) {
-          issue(TapeIssueKind::kUnsafeSharing, static_cast<std::int32_t>(i),
-                "array slot " + std::to_string(in.dst) +
-                    " written twice (instr " + std::to_string(w) +
-                    "); executors alias arrays in place");
-        }
-        w = static_cast<std::int32_t>(i);
-      } else if (in.dst >= 0 && in.dst < nScalar() && !isLeafOp(in.op)) {
-        writers[static_cast<std::size_t>(in.dst)].push_back(
-            static_cast<std::int32_t>(i));
+      if (!in.arrayResult || in.dst < 0 || in.dst >= nArray()) continue;
+      auto& w = arrayWriters[static_cast<std::size_t>(in.dst)];
+      if (w >= 0) {
+        issue(TapeIssueKind::kUnsafeSharing, static_cast<std::int32_t>(i),
+              "array slot " + std::to_string(in.dst) +
+                  " written twice (instr " + std::to_string(w) +
+                  "); executors alias arrays in place");
       }
-    }
-    for (std::size_t s = 0; s < writers.size(); ++s) {
-      const auto& w = writers[s];
-      if (w.size() < 2) continue;
-      for (std::size_t k = 1; k < w.size(); ++k) {
-        if (!d.sameInstrDeps(static_cast<std::size_t>(w[0]),
-                             static_cast<std::size_t>(w[k]))) {
-          issue(TapeIssueKind::kUnsafeSharing, w[k],
-                "writers of shared slot " + std::to_string(s) +
-                    " have different variable-dependency sets");
-        }
-      }
-    }
-    for (std::size_t i = 0; i < code.size(); ++i) {
-      forEachTapeOperand(code[i], [&](std::int32_t slot, bool isArray) {
-        if (isArray || slot < 0 || slot >= nScalar()) return;
-        const auto& w = writers[static_cast<std::size_t>(slot)];
-        if (w.size() < 2) return;
-        if (static_cast<std::int32_t>(i) > w.back()) return;  // final writer
-        // Reader of a non-final writer: must replay exactly with the
-        // class (equal dependency sets), or a cone that includes the
-        // reader but not the writers re-reads a later writer's value.
-        // lower_bound: an instruction that reads and rewrites the slot
-        // reads the *previous* writer's value.
-        const auto lastW = std::lower_bound(w.begin(), w.end(),
-                                            static_cast<std::int32_t>(i)) -
-                           w.begin();
-        if (lastW == 0) return;  // use-before-def, reported already
-        if (w[static_cast<std::size_t>(lastW - 1)] == w.back()) return;
-        if (!d.sameInstrDeps(i, static_cast<std::size_t>(w[0]))) {
-          issue(TapeIssueKind::kUnsafeSharing, static_cast<std::int32_t>(i),
-                "read of shared slot " + std::to_string(slot) +
-                    " before its final writer has a different "
-                    "variable-dependency set than the writers");
-        }
-      });
+      w = static_cast<std::int32_t>(i);
     }
   }
 
@@ -644,8 +483,6 @@ const char* tapeIssueCheckId(TapeIssueKind k) {
       return "tape-type-mismatch";
     case TapeIssueKind::kRootUndefined:
       return "tape-root-undefined";
-    case TapeIssueKind::kStaleCone:
-      return "tape-stale-cone";
     case TapeIssueKind::kUnsafeSharing:
       return "tape-unsafe-sharing";
     case TapeIssueKind::kCseDuplicate:

@@ -5,14 +5,15 @@
 // operand slots are in bounds and defined before use, constant and
 // variable slots are never clobbered, each instruction's result type
 // obeys the applyUnary/applyBinary contract the batch executor's typed
-// lane kernels assume, every root names a defined slot, each variable's
-// dirty cone is exactly the instructions transitively reading it, and
-// physical slot sharing (introduced by the optimizer's linear-scan
-// reallocation) is cone-coherent. Until now those invariants were only
-// exercised dynamically by differential fuzz; verifyTape() proves them
-// statically, with one typed finding per violation, so a corrupted or
-// mis-optimized tape is rejected before an executor ever runs it — and
-// so the planned tape->native JIT has a checked IR to emit from.
+// lane kernels assume, every root names a defined slot, and no array slot
+// is written twice (executors alias array operands in place). Scalar slot
+// sharing (introduced by the optimizer's linear-scan reallocation) is
+// legal whenever the writers agree on the static lane type; whether the
+// live ranges were computed right is checked dynamically, by the
+// optimized-vs-raw differential fuzz. verifyTape() proves the static
+// invariants, with one typed finding per violation, so a corrupted or
+// mis-optimized tape is rejected before an executor ever runs it, and
+// the JIT has a checked IR to emit from.
 //
 // Findings carry stable kebab-case ids (tapeIssueCheckId) surfaced
 // through `stcg_cli lint --tape`. requireVerifiedTape() throws EvalError
@@ -35,12 +36,11 @@ enum class TapeIssueKind {
   kConstClobbered,  // instruction writes a constant or variable slot
   kTypeMismatch,    // result type breaks the typed-lane contract
   kRootUndefined,   // root slot invalid or never defined
-  kStaleCone,       // recorded cones differ from the recomputed ones
-  kUnsafeSharing,   // multi-writer slot violating cone coherence
+  kUnsafeSharing,   // array slot written by more than one instruction
   kCseDuplicate,    // two live pure instructions with identical operands
 };
 
-/// Stable kebab-case check id for lint / JSON output ("tape-stale-cone").
+/// Stable kebab-case check id for lint / JSON output ("tape-slot-bounds").
 [[nodiscard]] const char* tapeIssueCheckId(TapeIssueKind k);
 
 /// True for kinds that make execution unsound; kCseDuplicate is a missed

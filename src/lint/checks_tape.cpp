@@ -16,7 +16,6 @@
 #include "analysis/interval_tape.h"
 #include "compile/model_tape.h"
 #include "expr/eval.h"
-#include "expr/tape_passes.h"
 #include "expr/tape_verify.h"
 #include "lint/lint.h"
 #include "solver/distance_tape.h"
@@ -57,26 +56,6 @@ void checkPair(const expr::Tape& raw, const expr::Tape& optimized,
   reportShrink(stats, location, sink);
 }
 
-/// The distance tapes have no public producer struct: replicate the
-/// DistanceTape constructor's build (value tape + overlay, overlay
-/// operand slots pinned live through the optimizer) for one goal.
-void checkDistanceTape(const expr::ExprPtr& goal, const std::string& location,
-                       DiagnosticSink& sink) {
-  expr::TapeBuilder b;
-  const solver::DistanceProgram prog = solver::buildDistanceProgram(goal, b);
-  const std::shared_ptr<const expr::Tape> raw = b.finish();
-  reportIssues(expr::verifyTape(*raw), location + " (raw)", sink);
-  if (!expr::tapeOptEnabled()) return;
-  std::vector<expr::SlotRef> extraLive;
-  for (const auto& in : prog.code) {
-    if (in.va >= 0) extraLive.push_back({in.va, false});
-    if (in.vb >= 0) extraLive.push_back({in.vb, false});
-  }
-  const expr::OptimizedTape opt = expr::optimizeTape(raw, extraLive);
-  reportIssues(expr::verifyTape(*opt.tape), location, sink);
-  reportShrink(opt.stats, location, sink);
-}
-
 }  // namespace
 
 void runTapeChecks(const CompiledModel& cm, DiagnosticSink& sink) {
@@ -99,15 +78,14 @@ void runTapeChecks(const CompiledModel& cm, DiagnosticSink& sink) {
     // Distance tapes: one per branch path constraint (what the local
     // search would compile when chasing that branch).
     for (const auto& br : cm.branches) {
+      // A non-boolean / array goal is one the solver would not compile
+      // either — nothing to verify.
+      const expr::ExprPtr& goal = br.pathConstraint;
+      if (goal->type != expr::Type::kBool || goal->isArray()) continue;
       const auto& d = cm.decisions[static_cast<std::size_t>(br.decision)];
-      try {
-        checkDistanceTape(br.pathConstraint,
-                          "tape 'distance:" + d.name + ":" + br.label + "'",
-                          sink);
-      } catch (const expr::EvalError&) {
-        // Non-boolean / array goal: the solver would not compile it
-        // either — nothing to verify.
-      }
+      const solver::DistanceTapeBuild built = solver::buildDistanceTape(goal);
+      checkPair(*built.rawTape, *built.tape, built.stats,
+                "tape 'distance:" + d.name + ":" + br.label + "'", sink);
     }
   } catch (const expr::EvalError& e) {
     // A producer's own maybeRequireVerifiedTape threw (debug builds /

@@ -48,10 +48,8 @@ const std::vector<CheckInfo>& allChecks() {
        "tape result type breaks the typed-lane executor contract"},
       {"tape-root-undefined", Severity::kError,
        "tape root names an invalid or never-defined slot"},
-      {"tape-stale-cone", Severity::kError,
-       "recorded dirty cones differ from the recomputed dependency cones"},
       {"tape-unsafe-sharing", Severity::kError,
-       "physical slot shared across incoherent dependency cones"},
+       "array slot written by more than one tape instruction"},
       {"tape-cse-duplicate", Severity::kWarning,
        "two live pure tape instructions compute the same value"},
       {"tape-internal-error", Severity::kError,

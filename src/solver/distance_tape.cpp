@@ -20,7 +20,7 @@ using expr::Type;
 
 namespace {
 
-constexpr double kEps = 1e-6;  // same as branchDistance's atom epsilon
+constexpr double kEps = 1e-6;  // the recursive branch distance's epsilon
 
 /// Recursive overlay compiler; one instance per buildDistanceProgram call.
 class ProgramBuilder {
@@ -209,48 +209,6 @@ double overlayStep(const DistanceProgram::Instr& in, const DistView& dist,
   return 0.0;
 }
 
-/// Build the value tape + overlay for `goal`, run the (concrete-mode)
-/// pass pipeline on the value tape, and remap the overlay's interior
-/// value reads. The overlay's va/vb slots are out-of-tape reads, so they
-/// ride through optimizeTape as extraLive slots — kept live by DCE and
-/// never freed by the slot allocator.
-struct BuiltDistance {
-  DistanceProgram prog;
-  std::shared_ptr<const expr::Tape> tape;
-  expr::TapePassStats stats;
-};
-
-BuiltDistance buildOptimizedDistance(const ExprPtr& goal) {
-  expr::TapeBuilder b;
-  BuiltDistance out;
-  out.prog = buildDistanceProgram(goal, b);
-  std::shared_ptr<const expr::Tape> raw = b.finish();
-  expr::maybeRequireVerifiedTape(*raw, "DistanceTape(raw)");
-  if (!expr::tapeOptEnabled()) {
-    out.tape = std::move(raw);
-    out.stats.instrsBefore = out.stats.instrsAfter = out.tape->code().size();
-    out.stats.scalarSlotsBefore = out.stats.scalarSlotsAfter =
-        out.tape->scalarSlotCount();
-    out.stats.arraySlotsBefore = out.stats.arraySlotsAfter =
-        out.tape->arraySlotCount();
-    return out;
-  }
-  std::vector<expr::SlotRef> extra;
-  for (const DistanceProgram::Instr& in : out.prog.code) {
-    if (in.va >= 0) extra.push_back({in.va, false});
-    if (in.vb >= 0) extra.push_back({in.vb, false});
-  }
-  expr::OptimizedTape opt = expr::optimizeTape(raw, extra);
-  expr::maybeRequireVerifiedTape(*opt.tape, "DistanceTape(optimized)");
-  for (DistanceProgram::Instr& in : out.prog.code) {
-    if (in.va >= 0) in.va = opt.remap({in.va, false}).slot;
-    if (in.vb >= 0) in.vb = opt.remap({in.vb, false}).slot;
-  }
-  out.tape = std::move(opt.tape);
-  out.stats = opt.stats;
-  return out;
-}
-
 }  // namespace
 
 DistanceProgram buildDistanceProgram(const ExprPtr& goal,
@@ -262,77 +220,54 @@ DistanceProgram buildDistanceProgram(const ExprPtr& goal,
   return ProgramBuilder(b).take(goal);
 }
 
-namespace {
-
-/// DistanceProgram -> the expr-layer overlay mirror the JIT emitter
-/// compiles (field-for-field; the kinds and operand meanings coincide).
-expr::JitOverlay toJitOverlay(const DistanceProgram& prog) {
-  expr::JitOverlay ov;
-  ov.init = prog.init;
-  ov.root = prog.root;
-  ov.code.reserve(prog.code.size());
-  for (const DistanceProgram::Instr& in : prog.code) {
-    expr::JitOverlayInstr j;
-    switch (in.kind) {
-      case DistanceProgram::Instr::Kind::kSum:
-        j.kind = expr::JitOverlayInstr::Kind::kSum;
-        break;
-      case DistanceProgram::Instr::Kind::kMin:
-        j.kind = expr::JitOverlayInstr::Kind::kMin;
-        break;
-      case DistanceProgram::Instr::Kind::kCmp:
-        j.kind = expr::JitOverlayInstr::Kind::kCmp;
-        break;
-      case DistanceProgram::Instr::Kind::kTruth:
-        j.kind = expr::JitOverlayInstr::Kind::kTruth;
-        break;
-    }
-    j.dst = in.dst;
-    j.a = in.a;
-    j.b = in.b;
-    j.va = in.va;
-    j.vb = in.vb;
-    j.cmpOp = in.cmpOp;
-    j.want = in.want;
-    ov.code.push_back(j);
+DistanceTapeBuild buildDistanceTape(const ExprPtr& goal) {
+  expr::TapeBuilder b;
+  DistanceTapeBuild out;
+  out.prog = buildDistanceProgram(goal, b);
+  out.rawTape = b.finish();
+  expr::maybeRequireVerifiedTape(*out.rawTape, "buildDistanceTape(raw)");
+  // The overlay's va/vb slots are out-of-tape reads: extraLive keeps them
+  // live through DCE and out of the slot allocator's free lists.
+  std::vector<expr::SlotRef> extra;
+  for (const DistanceProgram::Instr& in : out.prog.code) {
+    if (in.va >= 0) extra.push_back({in.va, false});
+    if (in.vb >= 0) extra.push_back({in.vb, false});
   }
-  return ov;
+  expr::OptimizedTape opt = expr::optimizeTape(out.rawTape, extra);
+  expr::maybeRequireVerifiedTape(*opt.tape, "buildDistanceTape(optimized)");
+  for (DistanceProgram::Instr& in : out.prog.code) {
+    if (in.va >= 0) in.va = opt.remap({in.va, false}).slot;
+    if (in.vb >= 0) in.vb = opt.remap({in.vb, false}).slot;
+  }
+  out.tape = std::move(opt.tape);
+  out.stats = opt.stats;
+  return out;
 }
-
-}  // namespace
 
 DistanceTape::DistanceTape(const ExprPtr& goal,
-                           const std::vector<expr::VarInfo>& vars,
-                           bool useJit)
-    : vars_(vars) {
-  BuiltDistance built = buildOptimizedDistance(goal);
-  prog_ = std::move(built.prog);
-  passStats_ = built.stats;
-  if (useJit) {
-    const expr::JitOverlay ov = toJitOverlay(prog_);
-    expr::TapeJit::Options jopt;
-    jopt.overlay = &ov;
-    jopt.coneVars.reserve(vars_.size());
-    for (const expr::VarInfo& v : vars_) jopt.coneVars.push_back(v.id);
-    if (auto jit = expr::TapeJit::compile(built.tape, jopt)) {
-      jexec_.emplace(built.tape, std::move(jit));
-    }
-    // On environment failure compile() has recorded a diagnostic; fall
-    // through to the (bit-identical) interpreter.
-  }
-  if (!jexec_) exec_.emplace(std::move(built.tape));
-  dist_ = prog_.init;
-}
+                           const std::vector<expr::VarInfo>& vars)
+    : DistanceTape(vars, buildDistanceTape(goal)) {}
 
-double DistanceTape::runOverlay() {
+DistanceTape::DistanceTape(const std::vector<expr::VarInfo>& vars,
+                           DistanceTapeBuild built)
+    : vars_(vars),
+      exec_(std::move(built.tape)),
+      prog_(std::move(built.prog)),
+      dist_(prog_.init) {}
+
+double DistanceTape::rebind(const std::vector<double>& point) {
+  for (std::size_t i = 0; i < vars_.size(); ++i) {
+    exec_.setVar(vars_[i].id, scalarForVar(vars_[i], point[i]));
+  }
+  exec_.run();
   const auto distAt = [&](std::int32_t s) {
     return dist_[static_cast<std::size_t>(s)];
   };
   const auto toRealOf = [&](std::int32_t va) {
-    return exec_->scalar({va, false}).toReal();
+    return exec_.scalar({va, false}).toReal();
   };
   const auto toBoolOf = [&](std::int32_t va) {
-    return exec_->scalar({va, false}).toBool();
+    return exec_.scalar({va, false}).toBool();
   };
   for (const DistanceProgram::Instr& in : prog_.code) {
     dist_[static_cast<std::size_t>(in.dst)] =
@@ -341,44 +276,11 @@ double DistanceTape::runOverlay() {
   return dist_[static_cast<std::size_t>(prog_.root)];
 }
 
-double DistanceTape::rebind(const std::vector<double>& point) {
-  if (jexec_) {
-    for (std::size_t i = 0; i < vars_.size(); ++i) {
-      jexec_->setVar(vars_[i].id, scalarForVar(vars_[i], point[i]));
-    }
-    return jexec_->runDistance();
-  }
-  for (std::size_t i = 0; i < vars_.size(); ++i) {
-    exec_->setVar(vars_[i].id, scalarForVar(vars_[i], point[i]));
-  }
-  exec_->run();
-  return runOverlay();
-}
-
-double DistanceTape::update(std::size_t varIdx, double value) {
-  const auto& v = vars_[varIdx];
-  if (jexec_) {
-    jexec_->setVar(v.id, scalarForVar(v, value));
-    return jexec_->runDistanceCone(v.id);
-  }
-  exec_->setVar(v.id, scalarForVar(v, value));
-  exec_->runCone(v.id);
-  return runOverlay();
-}
-
-std::size_t DistanceTape::valueInstrCount() const {
-  return (jexec_ ? jexec_->tape() : exec_->tape()).code().size();
-}
-
-std::size_t DistanceTape::maxConeSize() const {
-  return (jexec_ ? jexec_->tape() : exec_->tape()).maxConeSize();
-}
-
 BatchDistanceTape::BatchDistanceTape(const ExprPtr& goal,
                                      const std::vector<expr::VarInfo>& vars,
                                      int lanes)
     : vars_(vars) {
-  BuiltDistance built = buildOptimizedDistance(goal);
+  DistanceTapeBuild built = buildDistanceTape(goal);
   prog_ = std::move(built.prog);
   exec_.emplace(std::move(built.tape), lanes);
   binder_.emplace(*exec_, vars_);

@@ -1,28 +1,28 @@
-// Incremental branch-distance evaluation for the local-search solver.
+// Compiled branch-distance evaluation for the local-search solver.
 //
-// The hill climber scores thousands of candidate points per query, and
-// each score is a full branchDistance() tree walk: value evaluation of
-// every atom plus the Korel/Tracey distance recursion. A DistanceTape
-// compiles the goal once into
+// The hill climber scores thousands of candidate points per query. A
+// distance build compiles the goal once into
 //   (1) a value tape (expr::Tape) over the goal's whole DAG, and
 //   (2) a distance overlay: a linear program of sum/min/compare/truth
 //       instructions over double slots, one per distinct (node, want)
-//       pair of the distance recursion,
-// so scoring a point is two linear sweeps. Because the climber mutates
-// one variable at a time, update() rebinds that variable and re-executes
-// only its dirty cone on the value tape before re-running the (small)
-// overlay — the incremental mode that makes tape-backed search fast.
+//       pair of the Korel/Tracey distance recursion,
+// so scoring a point is two linear sweeps. buildDistanceTape() is the one
+// producer, in the shape of compile::buildModelTape and
+// analysis::buildIntervalTape: raw tape, optimized tape, the overlay
+// program over the optimized tape, and the pass statistics.
 //
-// The overlay program (DistanceProgram) is shared with BatchDistanceTape,
-// which runs the same value tape across B lanes (expr::BatchTapeExecutor)
-// and replays the identical overlay per lane — one batched pass scores a
-// whole neighborhood of candidate points (DESIGN.md §5f).
+// BatchDistanceTape is the scorer LocalSearchSolver runs: the value tape
+// across B lanes (expr::BatchTapeExecutor) and the overlay through the
+// lane kernels, so one batched pass scores a whole neighborhood of
+// candidate points (DESIGN.md §5f). DistanceTape is its one-lane
+// reference: the scalar TapeExecutor plus the overlay, one point per
+// rebind(), which the batch parity tests and benches compare against.
 //
 // Bit-identity: the overlay applies the same double operations in the
-// same order as distanceRec/atomDistance (same kEps, same operand order
-// for + and std::min), and value slots are bit-identical to the tree
-// Evaluator, so every cost returned equals branchDistance() exactly —
-// from either class.
+// same order as the recursive branch distance (same kEps, same operand
+// order for + and std::min), and value slots are bit-identical to the
+// tree Evaluator, so every cost either class returns equals the
+// recursive walk exactly.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,6 @@
 
 #include "expr/batch_tape.h"
 #include "expr/expr.h"
-#include "expr/jit.h"
 #include "expr/tape.h"
 #include "expr/tape_passes.h"
 #include "solver/solver.h"
@@ -59,62 +58,62 @@ struct DistanceProgram {
   [[nodiscard]] std::size_t slotCount() const { return init.size(); }
 };
 
-/// Emit `goal`'s value DAG onto `b` and compile its distance overlay.
-/// Throws expr::EvalError on a non-boolean / array goal.
+/// Emit `goal`'s value DAG onto `b` and compile its distance overlay
+/// (whose va/vb operands index `b`'s raw slots). Throws expr::EvalError
+/// on a non-boolean / array goal.
 [[nodiscard]] DistanceProgram buildDistanceProgram(const expr::ExprPtr& goal,
                                                    expr::TapeBuilder& b);
 
+/// One goal's distance build. `prog`'s value reads index `tape`, the
+/// pass-pipeline output (its overlay taps ride through optimizeTape as
+/// extraLive slots); `rawTape` keeps the unoptimized build as the
+/// differential oracle.
+struct DistanceTapeBuild {
+  std::shared_ptr<const expr::Tape> tape;
+  std::shared_ptr<const expr::Tape> rawTape;
+  DistanceProgram prog;
+  expr::TapePassStats stats;
+};
+
+/// Build value tape + overlay for `goal` and optimize the value tape.
+/// Throws expr::EvalError on a non-boolean / array goal.
+[[nodiscard]] DistanceTapeBuild buildDistanceTape(const expr::ExprPtr& goal);
+
+/// One-lane reference scorer: the optimized value tape on the scalar
+/// TapeExecutor, then the overlay.
 class DistanceTape {
  public:
-  /// Compile `goal` (scalar boolean) for the variable list the search
-  /// mutates. Throws expr::EvalError on a non-boolean goal. With
-  /// `useJit`, additionally compile value tape + overlay (plus per-var
-  /// native cone functions) into one native module via expr::TapeJit;
-  /// when the toolchain is unavailable the instance silently runs on the
-  /// interpreter instead (usingJit() reports which happened) — the
-  /// distances are bit-identical either way.
+  /// Compile `goal` (scalar boolean) for the variable list a point binds.
+  /// Throws expr::EvalError on a non-boolean goal.
   DistanceTape(const expr::ExprPtr& goal,
-               const std::vector<expr::VarInfo>& vars, bool useJit = false);
-
-  /// True when rebind/update run the native module.
-  [[nodiscard]] bool usingJit() const { return jexec_.has_value(); }
+               const std::vector<expr::VarInfo>& vars);
 
   /// Bind every variable to `point` (raw reals, scalarForVar coercion)
-  /// and return the full-evaluation distance.
+  /// and return the distance.
   double rebind(const std::vector<double>& point);
 
-  /// Mutate variable `varIdx` (index into the constructor's list) to
-  /// `value` and return the re-evaluated distance, re-executing only the
-  /// variable's dirty cone on the value tape. Requires a prior rebind().
-  double update(std::size_t varIdx, double value);
-
   /// Diagnostics for bench reporting.
-  [[nodiscard]] std::size_t valueInstrCount() const;
+  [[nodiscard]] std::size_t valueInstrCount() const {
+    return exec_.tape().code().size();
+  }
   [[nodiscard]] std::size_t overlayInstrCount() const {
     return prog_.code.size();
   }
-  [[nodiscard]] std::size_t maxConeSize() const;
-  /// Pass-pipeline shrink of the value tape (before == after when
-  /// STCG_TAPE_OPT=0 disabled optimization).
-  [[nodiscard]] const expr::TapePassStats& passStats() const {
-    return passStats_;
-  }
 
  private:
-  double runOverlay();
+  DistanceTape(const std::vector<expr::VarInfo>& vars,
+               DistanceTapeBuild built);
 
   std::vector<expr::VarInfo> vars_;
-  std::optional<expr::TapeExecutor> exec_;
-  std::optional<expr::JitTapeExecutor> jexec_;  // engaged iff JIT active
+  expr::TapeExecutor exec_;
   DistanceProgram prog_;
-  expr::TapePassStats passStats_;
   std::vector<double> dist_;  // distance slots (constants pre-set)
 };
 
 /// B-lane distance evaluation: the same value tape and overlay program as
 /// DistanceTape, executed across `lanes` candidate points per run() call.
 /// distance(lane) is bit-identical to DistanceTape::rebind of that lane's
-/// point — the batched neighborhood scorer of the local-search solver.
+/// point. The local-search solver's only scorer.
 class BatchDistanceTape {
  public:
   /// Cumulative lane-instruction accounting for the overlay executor:

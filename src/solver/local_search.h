@@ -16,6 +16,14 @@
 //   !a       -> cost of a with flipped polarity
 //   ite(c,t,e) (bool) -> cost((c && t) || (!c && e))
 // Zero cost certifies satisfaction (verified by concrete evaluation).
+//
+// Every candidate is scored through one BatchDistanceTape (the compiled
+// form of this recursion, distance_tape.h) of kLanes lanes: a (re)start
+// scores its point alone, and the kLanes pattern moves of one variable
+// are scored in one batched pass, then scanned in move order, accepting
+// the first improvement. That commits exactly the accept order and sample
+// count of a climber that scores one candidate at a time, which the tests
+// keep as the reference (tests/distance_oracle.h).
 #pragma once
 
 #include "solver/solver.h"
@@ -24,19 +32,12 @@ namespace stcg::solver {
 
 class LocalSearchSolver {
  public:
-  /// Cost engine. kTape (default) scores candidates through an
-  /// incremental DistanceTape (dirty-cone re-evaluation per mutated
-  /// variable); kTree walks branchDistance's recursion each time and is
-  /// kept as the oracle. kJit runs the DistanceTape's value tape +
-  /// overlay as native code (expr::TapeJit), degrading to kTape when no
-  /// toolchain is available. All engines produce bit-identical cost
-  /// sequences, so the search visits the same points and returns the
-  /// same result.
-  enum class Engine { kTape, kTree, kJit };
+  /// Lanes of the neighborhood scorer: the pattern moves per variable
+  /// (four step sizes, two directions each).
+  static constexpr int kLanes = 8;
 
-  explicit LocalSearchSolver(SolveOptions options = {},
-                             Engine engine = Engine::kTape)
-      : options_(options), engine_(engine) {}
+  explicit LocalSearchSolver(SolveOptions options = {})
+      : options_(options) {}
 
   /// Find an assignment making `goal` true, or report UNKNOWN — local
   /// search can never prove UNSAT.
@@ -45,12 +46,7 @@ class LocalSearchSolver {
 
  private:
   SolveOptions options_;
-  Engine engine_ = Engine::kTape;
 };
-
-/// Branch distance of `goal` (toward `want`) under `env`; 0 iff satisfied.
-[[nodiscard]] double branchDistance(const expr::ExprPtr& goal,
-                                    const expr::Env& env, bool want);
 
 /// Which engine a query runs on.
 enum class SolverKind {

@@ -23,8 +23,6 @@
 // returned there), so status, model and stats equal those of the
 // evaluate()-per-candidate solver this replaced — tests/test_solver.cpp
 // keeps that solver as the differential oracle.
-// SolveOptions::batch does not apply here: it sizes local search's
-// neighbourhood scorer only.
 //
 // The paper's central observation lives here: after STCG fixes the model
 // state as constants, the residual constraints are small and this solver
@@ -59,12 +57,6 @@ struct SolveOptions {
   int samplesPerBox = 6;                // random samples per box
   int contractPasses = 3;               // HC4 sweeps per box
   std::uint64_t seed = 1;               // sampling seed
-  /// Lane width for the local-search neighborhood scorer (tape engine
-  /// only): > 1 scores candidate moves in B-wide batches through the
-  /// BatchDistanceTape while committing the exact accept order of the
-  /// sequential climber — results are bit-identical for any value.
-  /// <= 1 keeps the scalar dirty-cone path. Ignored by the box solver.
-  int batch = 1;
 };
 
 struct SolveStats {

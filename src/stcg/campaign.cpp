@@ -321,7 +321,6 @@ Campaign::OneStep Campaign::solveOneStep(const expr::ExprPtr& query,
     return out;
   }
   solver::SolveOptions so = opt_.solver;
-  so.batch = opt_.batch;
   Rng rng = seedRng();
   so.seed = static_cast<std::uint64_t>(rng.uniformInt(1, 1'000'000'000));
   const auto res =

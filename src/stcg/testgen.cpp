@@ -23,7 +23,6 @@ void validateGenOptions(const GenOptions& options) {
   };
   check("jobs", options.jobs);
   check("batch", options.batch);
-  check("solver.batch", options.solver.batch);
   if (options.checkpointEveryRounds < 1 ||
       options.checkpointEveryRounds > 1'000'000) {
     throw expr::EvalError(

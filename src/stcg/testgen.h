@@ -93,10 +93,8 @@ struct GenOptions {
   sim::EvalEngine simEngine = sim::EvalEngine::kTape;
   /// Lane width for batched lockstep tape execution (SoA lanes, see
   /// DESIGN.md §5f): the random-replay expansion and final suite replay
-  /// run this many trajectories per tape pass (tape engine only), and the
-  /// value is plumbed into solver::SolveOptions::batch so the local-search
-  /// neighborhood scorer batches too. Output is bit-identical for any
-  /// value; <= 1 disables batching.
+  /// run this many trajectories per tape pass (tape engine only). Output
+  /// is bit-identical for any value; <= 1 disables batching.
   int batch = 8;
   int randomSeqLen = 24;             // N of Algorithm 2
   int maxTreeNodes = 4096;
@@ -145,11 +143,11 @@ struct GenOptions {
 };
 
 /// Validate the user-settable numeric knobs at the library boundary:
-/// `jobs` and `batch` (and the plumbed-through solver.batch) must lie in
-/// [0, 4096]. Throws expr::EvalError naming the offending option and its
-/// value — every Generator::generate implementation calls this first, so
-/// out-of-range values from a CLI or embedding fail with a typed error
-/// instead of a thread explosion or a negative-size allocation.
+/// `jobs` and `batch` must lie in [0, 4096]. Throws expr::EvalError
+/// naming the offending option and its value — every Generator::generate
+/// implementation calls this first, so out-of-range values from a CLI or
+/// embedding fail with a typed error instead of a thread explosion or a
+/// negative-size allocation.
 void validateGenOptions(const GenOptions& options);
 
 enum class TestOrigin { kSolved, kRandom };

@@ -1,8 +1,8 @@
 // Centralized environment-flag parsing for the STCG_* switches.
 //
-// Every engine escape hatch (STCG_JIT, STCG_TAPE_OPT, STCG_TAPE_VERIFY,
-// STCG_SIMD, ...) used to hand-roll its own getenv + strcmp, which meant
-// each one silently invented its own notion of truthiness and typos like
+// Every engine escape hatch (STCG_JIT, STCG_TAPE_VERIFY, STCG_SIMD, ...)
+// used to hand-roll its own getenv + strcmp, which meant each one
+// silently invented its own notion of truthiness and typos like
 // STCG_JIT=off enabled the JIT. These helpers give every switch one
 // strict grammar and one failure mode: an unrecognized value keeps the
 // documented default and emits a single stderr diagnostic naming the

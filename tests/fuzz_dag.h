@@ -243,9 +243,8 @@ inline TapePair buildTapePair(const std::vector<expr::ExprPtr>& roots,
 /// graceful degradation.
 inline std::unique_ptr<expr::JitTapeExecutor> makeJitArm(
     const std::shared_ptr<const expr::Tape>& tape,
-    std::string* whyNot = nullptr,
-    const expr::TapeJit::Options& opts = {}) {
-  auto jit = expr::TapeJit::compile(tape, opts, whyNot);
+    std::string* whyNot = nullptr) {
+  auto jit = expr::TapeJit::compile(tape, whyNot);
   if (jit == nullptr) return nullptr;
   return std::make_unique<expr::JitTapeExecutor>(tape, std::move(jit));
 }

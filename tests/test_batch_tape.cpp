@@ -9,8 +9,6 @@
 //     only, out-of-range select/store indices clamped per lane,
 //   - the unbound-variable error naming both the variable and the lane,
 //   - BatchDistanceTape lane distances vs scalar DistanceTape rebinds,
-//   - LocalSearchSolver batch=8 vs batch=1 (identical search path,
-//     samples, and model bits),
 //   - BatchSimulator vs scalar Simulator across all eight bench models
 //     (observations, outputs, states, coverage; restore mid-run),
 //   - a decision with no satisfied arm: SimError from every scalar engine
@@ -19,7 +17,7 @@
 //     byte-identical serialized tracker,
 //   - replaySuite batched vs scalar tracker equality,
 //   - end-to-end: StcgGenerator results pinned across batch x jobs,
-//     including a local-search-solver run that batches neighbor scoring.
+//     including a local-search-solver run.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -345,42 +343,6 @@ TEST(BatchDistance, LaneDistancesMatchScalarRebindBitwise) {
   }
 }
 
-// ----- LocalSearchSolver: batch width never changes the search -------------
-
-TEST(LocalSearchBatch, BatchedNeighborScoringIsBitIdenticalToScalar) {
-  const VarInfo x{201, "x", Type::kReal, -10, 10};
-  const VarInfo y{202, "y", Type::kReal, -10, 10};
-  const auto dx = expr::subE(expr::mkVar(x), expr::cReal(3.0));
-  const auto dy = expr::addE(expr::mkVar(y), expr::cReal(2.0));
-  const auto goal = expr::leE(
-      expr::addE(expr::mulE(dx, dx), expr::mulE(dy, dy)), expr::cReal(0.5));
-
-  const auto runWith = [&](int batch) {
-    solver::SolveOptions so;
-    so.seed = 5;
-    so.timeBudgetMillis = 5000;  // generous: every run terminates on SAT
-    so.batch = batch;
-    solver::LocalSearchSolver s(so);
-    return s.solve(goal, {x, y});
-  };
-  const auto scalar = runWith(1);
-  ASSERT_TRUE(scalar.sat());
-  for (const int batch : {3, 8, 16}) {
-    const auto batched = runWith(batch);
-    ASSERT_TRUE(batched.sat()) << "batch " << batch;
-    EXPECT_EQ(scalar.stats.samplesTried, batched.stats.samplesTried)
-        << "batch " << batch
-        << ": committing the sequential accept order must preserve the "
-           "candidate count exactly";
-    EXPECT_TRUE(sameBits(scalar.model.get(x.id).toReal(),
-                         batched.model.get(x.id).toReal()))
-        << "batch " << batch;
-    EXPECT_TRUE(sameBits(scalar.model.get(y.id).toReal(),
-                         batched.model.get(y.id).toReal()))
-        << "batch " << batch;
-  }
-}
-
 // ----- BatchSimulator vs scalar Simulator on the bench suite ---------------
 
 class BatchSimSweep : public ::testing::TestWithParam<std::string> {};
@@ -690,9 +652,9 @@ TEST(StcgBatch, FullGoalSetIdenticalAcrossBatchAndJobs) {
 }
 
 TEST(StcgBatch, LocalSearchSolverRunsBatchIndependent) {
-  // End-to-end through the batched neighbor scorer: the generator plumbs
-  // opt.batch into SolveOptions::batch, so the local-search engine itself
-  // scores candidate moves in lanes when batch > 1.
+  // End-to-end with the local-search engine, whose neighbor scorer is
+  // batched whatever opt.batch is: the replay lane width still must not
+  // change the suite.
   const auto base = runAnd2(1, 1, solver::SolverKind::kLocalSearch);
   expectIdenticalGen(base, runAnd2(8, 1, solver::SolverKind::kLocalSearch),
                      "and2 local batch=8");
@@ -701,8 +663,6 @@ TEST(StcgBatch, LocalSearchSolverRunsBatchIndependent) {
 TEST(StcgBatch, BatchDefaultsOnAndReplayParamDefaultsScalar) {
   const gen::GenOptions opt;
   EXPECT_EQ(opt.batch, 8) << "batched lockstep execution is the default";
-  EXPECT_EQ(opt.solver.batch, 1)
-      << "solver batching is opt-in; the generator plumbs its own width";
 }
 
 }  // namespace

@@ -519,7 +519,6 @@ TEST(ResumeEquivalence, BitIdenticalAcrossJobsBatchEngine) {
         opt.simEngine = engine;
         opt.jobs = jobs;
         opt.batch = batch;
-        opt.solver.batch = batch;
         const std::string what =
             std::string(engine == sim::EvalEngine::kTape ? "tape" : "jit") +
             " jobs=" + std::to_string(jobs) +

@@ -6,8 +6,6 @@
 //   - differential fuzz over random expression DAGs (every Op kind,
 //     arrays included): JIT vs interpreter on both the raw and the
 //     pass-pipeline-optimized tape,
-//   - distance overlay: JIT-backed DistanceTape vs the interpreted one
-//     over rebind + dirty-cone update sequences,
 //   - batch lanes: runBatch vs per-lane scalar interpreter runs,
 //   - Simulator sweep across all eight bench models (outputs, snapshots,
 //     coverage events) under kJit vs kTape,
@@ -45,8 +43,6 @@
 #include "expr/tape.h"
 #include "model/model.h"
 #include "sim/simulator.h"
-#include "solver/distance_tape.h"
-#include "solver/local_search.h"
 #include "solver/solver.h"
 #include "stcg/stcg_generator.h"
 #include "util/rng.h"
@@ -74,7 +70,7 @@ bool jitAvailable() {
     const VarInfo v{0, "x", Type::kReal, -10, 10};
     (void)b.addRoot(expr::addE(expr::mkVar(v), expr::cReal(1.0)));
     std::string why;
-    return expr::TapeJit::compile(b.finish(), {}, &why) != nullptr;
+    return expr::TapeJit::compile(b.finish(), &why) != nullptr;
   }();
   return ok;
 }
@@ -125,105 +121,6 @@ TEST(JitFuzz, MatchesInterpreterOnRawAndOptimizedTapes) {
   }
 }
 
-TEST(JitFuzz, ConeReplayMatchesInterpreterConeReplay) {
-  REQUIRE_JIT();
-  Rng rng(424242);
-  for (int trial = 0; trial < 10; ++trial) {
-    Rng dagRng = rng.fork(trial);
-    auto dag = makeFuzzDag(dagRng, /*withArrays=*/false);
-    std::vector<expr::ExprPtr> roots;
-    for (const auto& e : dag.reals) roots.push_back(e);
-    for (const auto& e : dag.ints) roots.push_back(e);
-    const auto pair = fuzz::buildTapePair(roots);
-
-    expr::TapeJit::Options jopt;
-    for (const auto& v : dag.vars) jopt.coneVars.push_back(v.id);
-    std::string why;
-    auto jit = makeJitArm(pair.optimized, &why, jopt);
-    ASSERT_NE(jit, nullptr) << why;
-    expr::TapeExecutor interp(pair.optimized);
-
-    const expr::Env env = randomEnv(dagRng, dag);
-    interp.bindEnv(env);
-    jit->bindEnv(env);
-    interp.run();
-    jit->run();
-    for (int mut = 0; mut < 30; ++mut) {
-      const auto& v = dag.vars[dagRng.index(dag.vars.size())];
-      const Scalar s = fuzz::randomScalarFor(dagRng, v);
-      interp.setVar(v.id, s);
-      jit->setVar(v.id, s);
-      interp.runCone(v.id);
-      jit->runCone(v.id);
-      for (const auto& slot : pair.optSlots) {
-        if (!slot.valid()) continue;
-        ASSERT_TRUE(sameScalar(interp.scalar(slot), jit->scalar(slot)))
-            << "trial " << trial << " mutation " << mut;
-      }
-    }
-  }
-}
-
-// ----- Distance overlay: JIT DistanceTape vs interpreted DistanceTape ------
-
-TEST(JitDistance, OverlayMatchesInterpreterOverRebindsAndUpdates) {
-  REQUIRE_JIT();
-  Rng rng(777001);
-  int jitInstances = 0;
-  for (int trial = 0; trial < 20; ++trial) {
-    Rng dagRng = rng.fork(trial);
-    auto dag = makeFuzzDag(dagRng, /*withArrays=*/false);
-    const auto& goal = dag.bools[dagRng.index(dag.bools.size())];
-
-    solver::DistanceTape interp(goal, dag.vars);
-    solver::DistanceTape jitted(goal, dag.vars, /*useJit=*/true);
-    if (jitted.usingJit()) ++jitInstances;
-
-    std::vector<double> point(dag.vars.size());
-    for (int probe = 0; probe < 3; ++probe) {
-      for (std::size_t i = 0; i < point.size(); ++i) {
-        point[i] = dagRng.uniformReal(-50.0, 50.0);
-      }
-      ASSERT_TRUE(sameBits(interp.rebind(point), jitted.rebind(point)))
-          << "trial " << trial << " probe " << probe;
-      for (int mut = 0; mut < 20; ++mut) {
-        const std::size_t vi = dagRng.index(dag.vars.size());
-        const double val = dagRng.uniformReal(-50.0, 50.0);
-        ASSERT_TRUE(sameBits(interp.update(vi, val), jitted.update(vi, val)))
-            << "trial " << trial << " probe " << probe << " mutation " << mut;
-      }
-    }
-  }
-  EXPECT_EQ(jitInstances, 20) << "toolchain is available, every DistanceTape "
-                                 "should have engaged the JIT";
-}
-
-TEST(JitDistance, LocalSearchJitEngineMatchesTapeEngine) {
-  REQUIRE_JIT();
-  const VarInfo x{201, "x", Type::kReal, -10, 10};
-  const VarInfo y{202, "y", Type::kReal, -10, 10};
-  const auto dx = expr::subE(expr::mkVar(x), expr::cReal(3.0));
-  const auto dy = expr::addE(expr::mkVar(y), expr::cReal(2.0));
-  const auto goal = expr::leE(
-      expr::addE(expr::mulE(dx, dx), expr::mulE(dy, dy)), expr::cReal(0.5));
-
-  solver::SolveOptions so;
-  so.seed = 5;
-  so.timeBudgetMillis = 5000;
-  solver::LocalSearchSolver tapeSolver(so);
-  solver::LocalSearchSolver jitSolver(so,
-                                      solver::LocalSearchSolver::Engine::kJit);
-  const auto ra = tapeSolver.solve(goal, {x, y});
-  const auto rb = jitSolver.solve(goal, {x, y});
-  ASSERT_TRUE(ra.sat());
-  ASSERT_TRUE(rb.sat());
-  EXPECT_EQ(ra.stats.samplesTried, rb.stats.samplesTried);
-  EXPECT_TRUE(
-      sameBits(ra.model.get(x.id).toReal(), rb.model.get(x.id).toReal()));
-  EXPECT_TRUE(
-      sameBits(ra.model.get(y.id).toReal(), rb.model.get(y.id).toReal()));
-}
-
 // ----- Batch lanes ---------------------------------------------------------
 
 TEST(JitLanes, RunBatchMatchesScalarInterpreterPerLane) {
@@ -239,7 +136,7 @@ TEST(JitLanes, RunBatchMatchesScalarInterpreterPerLane) {
 
     constexpr int kLanes = 5;
     std::string why;
-    auto jit = expr::TapeJit::compile(pair.optimized, {}, &why);
+    auto jit = expr::TapeJit::compile(pair.optimized, &why);
     ASSERT_NE(jit, nullptr) << why;
     expr::JitTapeExecutor lanes(pair.optimized, jit, kLanes);
     expr::TapeExecutor interp(pair.optimized);
@@ -486,7 +383,7 @@ TEST(JitFallback, BadCompilerFallsBackWithDiagnosticNotCrash) {
     expr::clearJitDiagnostics();
 
     std::string why;
-    auto jit = expr::TapeJit::compile(uniqueTape(1.25), {}, &why);
+    auto jit = expr::TapeJit::compile(uniqueTape(1.25), &why);
     EXPECT_EQ(jit, nullptr);
     EXPECT_NE(why.find("/nonexistent/definitely-not-a-compiler"),
               std::string::npos)
@@ -524,7 +421,7 @@ TEST(JitFallback, CorruptCachedModuleIsDiscardedAndRebuilt) {
 
     const auto tape = uniqueTape(2.5);
     std::string why;
-    auto first = expr::TapeJit::compile(tape, {}, &why);
+    auto first = expr::TapeJit::compile(tape, &why);
     ASSERT_NE(first, nullptr) << why;
     const fs::path so = dir / ("stcg_jit_" + first->sourceHash() + ".so");
     ASSERT_TRUE(fs::exists(so));
@@ -536,7 +433,7 @@ TEST(JitFallback, CorruptCachedModuleIsDiscardedAndRebuilt) {
     expr::jitClearCache();
     { std::ofstream(so, std::ios::trunc) << "not an ELF object"; }
     expr::clearJitDiagnostics();
-    auto second = expr::TapeJit::compile(tape, {}, &why);
+    auto second = expr::TapeJit::compile(tape, &why);
     ASSERT_NE(second, nullptr) << why;
     bool sawCacheNote = false;
     for (const auto& d : expr::jitDiagnostics()) {
@@ -559,7 +456,7 @@ TEST(JitFallback, UnboundVariableThrowsInterpreterIdenticalError) {
   REQUIRE_JIT();
   const auto tape = uniqueTape(3.75);
   std::string why;
-  auto jit = expr::TapeJit::compile(tape, {}, &why);
+  auto jit = expr::TapeJit::compile(tape, &why);
   ASSERT_NE(jit, nullptr) << why;
   expr::JitTapeExecutor ex(tape, jit);
   expr::TapeExecutor interp(tape);
@@ -594,9 +491,6 @@ TEST(OptionValidation, OutOfRangeJobsAndBatchRejectedWithTypedError) {
   bad.batch = -1;
   EXPECT_THROW((void)g.generate(cm, bad), expr::EvalError);
   bad = {};
-  bad.solver.batch = 100000;
-  EXPECT_THROW((void)g.generate(cm, bad), expr::EvalError);
-  bad = {};
   bad.randomSeqLen = -1;
   EXPECT_THROW((void)g.generate(cm, bad), expr::EvalError);
   bad = {};
@@ -607,14 +501,6 @@ TEST(OptionValidation, OutOfRangeJobsAndBatchRejectedWithTypedError) {
     bad.freshRandomProbability = p;
     EXPECT_THROW((void)g.generate(cm, bad), expr::EvalError) << p;
   }
-
-  solver::SolveOptions so;
-  so.batch = -3;
-  solver::LocalSearchSolver ls(so);
-  const VarInfo x{1, "x", Type::kReal, -1, 1};
-  EXPECT_THROW(
-      (void)ls.solve(expr::gtE(expr::mkVar(x), expr::cReal(0.0)), {x}),
-      expr::EvalError);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 // Tests for the search-based solver (branch distance), the portfolio
-// dispatcher, and their integration with STCG.
+// dispatcher, and their integration with STCG. The production solver,
+// which scores every candidate through the batched distance tape, is
+// compared against the one-candidate-at-a-time reference climber
+// (distance_oracle.h) over random goals.
 #include <gtest/gtest.h>
 
 #include "compile/compiler.h"
@@ -7,6 +10,10 @@
 #include "model/model.h"
 #include "solver/local_search.h"
 #include "stcg/stcg_generator.h"
+#include "util/rng.h"
+
+#include "distance_oracle.h"
+#include "fuzz_dag.h"
 
 namespace stcg::solver {
 namespace {
@@ -18,6 +25,7 @@ using expr::mkVar;
 using expr::Scalar;
 using expr::Type;
 using expr::VarInfo;
+using testref::branchDistance;
 
 const VarInfo kX{0, "x", Type::kInt, -1000, 1000};
 const VarInfo kY{1, "y", Type::kInt, -1000, 1000};
@@ -95,6 +103,85 @@ TEST(LocalSearch, NeverClaimsUnsat) {
   opt.timeBudgetMillis = 30;
   LocalSearchSolver s(opt);
   EXPECT_EQ(s.solve(goal, {kX}).status, SolveStatus::kUnknown);
+}
+
+// ----- Production solver vs the sequential reference climber -------------
+
+/// Solve `goal` with both climbers; when both finish before the deadline,
+/// require equal status, model bits and samplesTried. Returns whether the
+/// pair was compared.
+bool expectMatchesReference(const expr::ExprPtr& goal,
+                            const std::vector<VarInfo>& vars,
+                            std::uint64_t seed, const std::string& what) {
+  SolveOptions opt;
+  opt.seed = seed;
+  opt.timeBudgetMillis = 150 * kBudgetScale;
+  const SolveResult got = LocalSearchSolver(opt).solve(goal, vars);
+  const SolveResult want = testref::referenceLocalSearch(goal, vars, opt);
+  if (got.status == SolveStatus::kUnknown ||
+      want.status == SolveStatus::kUnknown) {
+    return false;  // a deadline cut one of them short: not comparable
+  }
+  EXPECT_EQ(got.status, want.status) << what;
+  EXPECT_EQ(got.stats.samplesTried, want.stats.samplesTried) << what;
+  for (const auto& v : vars) {
+    if (!want.model.has(v.id)) continue;
+    EXPECT_TRUE(got.model.has(v.id)) << what << " var " << v.name;
+    if (!got.model.has(v.id)) continue;
+    EXPECT_TRUE(fuzz::sameScalar(got.model.get(v.id), want.model.get(v.id)))
+        << what << " var " << v.name << ": "
+        << got.model.get(v.id).toString() << " vs "
+        << want.model.get(v.id).toString();
+  }
+  return true;
+}
+
+TEST(LocalSearchReference, MatchesSequentialClimberOnFuzzGoals) {
+  // Fuzz DAGs over bool, int and real variables; goals conjoin one random
+  // boolean with a comparison the climber has to walk toward.
+  Rng rng(6021);
+  int compared = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    fuzz::FuzzDag d = fuzz::makeFuzzDag(rng, /*withArrays=*/false);
+    const auto& v = d.vars[2 + rng.index(d.vars.size() - 2)];  // int/real
+    const expr::ExprPtr target = expr::geE(
+        mkVar(v), cReal(rng.uniformReal(v.lo, v.hi) * 0.5));
+    const expr::ExprPtr goal =
+        rng.chance(0.5)
+            ? expr::andE(target, d.bools[rng.index(d.bools.size())])
+            : expr::orE(target, d.bools[rng.index(d.bools.size())]);
+    for (const std::uint64_t seed : {3ULL, 17ULL}) {
+      compared += expectMatchesReference(
+                      goal, d.vars, seed,
+                      "trial " + std::to_string(trial) + " seed " +
+                          std::to_string(seed))
+                      ? 1
+                      : 0;
+    }
+  }
+  EXPECT_GE(compared, 24) << "too few goals solved by both climbers";
+}
+
+TEST(LocalSearchReference, MatchesSequentialClimberOnFixedGoals) {
+  // The sum of squares (two real variables, many restarts and moves), a
+  // mixed int/bool goal, and a goal over no variables at all.
+  const VarInfo x{201, "x", Type::kReal, -10, 10};
+  const VarInfo y{202, "y", Type::kReal, -10, 10};
+  const auto dx = expr::subE(mkVar(x), cReal(3.0));
+  const auto dy = expr::addE(mkVar(y), cReal(2.0));
+  const auto shell = expr::leE(
+      expr::addE(expr::mulE(dx, dx), expr::mulE(dy, dy)), cReal(0.5));
+  EXPECT_TRUE(expectMatchesReference(shell, {x, y}, 5, "shell"));
+
+  const VarInfo b{203, "b", Type::kBool, 0, 1};
+  const auto mixed = expr::andE(
+      mkVar(b), expr::eqE(expr::addE(mkVar(kX), mkVar(kY)), cInt(77)));
+  EXPECT_TRUE(expectMatchesReference(mixed, {kX, kY, b}, 9, "mixed"));
+
+  EXPECT_TRUE(expectMatchesReference(expr::cBool(true), {}, 1, "no vars"));
+  SolveOptions opt;
+  const SolveResult none = LocalSearchSolver(opt).solve(expr::cBool(true), {});
+  EXPECT_EQ(none.stats.samplesTried, 1);
 }
 
 TEST(Portfolio, FallsThroughToSearchOnUnknown) {

@@ -2,16 +2,14 @@
 // instruction tape and the tree walkers it replaces.
 //
 //   - differential fuzz over random expression DAGs (every Op kind):
-//     concrete tape vs tree Evaluator, interval tape vs IntervalEvaluator,
-//     incremental dirty-cone updates vs full re-evaluation,
-//   - DistanceTape vs branchDistance (bitwise costs, including the
-//     incremental update path the hill climber uses),
+//     concrete tape vs tree Evaluator (also across single-variable
+//     rebinds), interval tape vs IntervalEvaluator,
+//   - DistanceTape vs the recursive branch distance (bitwise costs),
 //   - tape-vs-tree Simulator runs across all eight bench models
 //     (outputs, snapshots, coverage events),
 //   - batched interval verdicts vs per-constraint tree walks under the
 //     computed state invariant,
-//   - LocalSearchSolver and StcgGenerator producing identical results on
-//     either engine,
+//   - StcgGenerator producing identical results on either engine,
 //   - the satellite regressions: pinned-root dedup in both evaluators and
 //     Env::reserve semantics.
 #include <gtest/gtest.h>
@@ -37,11 +35,11 @@
 #include "model/model.h"
 #include "sim/simulator.h"
 #include "solver/distance_tape.h"
-#include "solver/local_search.h"
 #include "solver/solver.h"
 #include "stcg/stcg_generator.h"
 #include "util/rng.h"
 
+#include "distance_oracle.h"
 #include "fuzz_dag.h"
 
 namespace stcg {
@@ -142,36 +140,6 @@ TEST(TapeBasics, RunNamesTheFirstUnboundVariable) {
   EXPECT_TRUE(sameScalar(ex.scalar(root), Scalar::i(3)));
 }
 
-TEST(TapeBasics, ConesCoverExactlyTheDependentInstructions) {
-  const auto x = expr::mkVar({0, "x", Type::kInt, -10, 10});
-  const auto y = expr::mkVar({1, "y", Type::kInt, -10, 10});
-  const auto z = expr::mkVar({2, "z", Type::kInt, -10, 10});
-  expr::TapeBuilder b;
-  const SlotRef sum = b.addRoot(expr::addE(x, y));      // depends on x, y
-  const SlotRef dbl = b.addRoot(expr::mulE(z, z));      // depends on z only
-  expr::TapeExecutor ex(b.finish());
-  const auto* coneX = ex.tape().coneOf(0);
-  ASSERT_NE(coneX, nullptr);
-  EXPECT_EQ(coneX->size(), 1u);
-  const auto* coneZ = ex.tape().coneOf(2);
-  ASSERT_NE(coneZ, nullptr);
-  EXPECT_EQ(coneZ->size(), 1u);
-  EXPECT_NE((*coneX)[0], (*coneZ)[0]);
-  EXPECT_EQ(ex.tape().coneOf(77), nullptr) << "unknown variable: no cone";
-  EXPECT_GE(ex.tape().maxConeSize(), 1u);
-
-  ex.setVar(0, Scalar::i(1));
-  ex.setVar(1, Scalar::i(2));
-  ex.setVar(2, Scalar::i(5));
-  ex.run();
-  EXPECT_TRUE(sameScalar(ex.scalar(dbl), Scalar::i(25)));
-  ex.setVar(2, Scalar::i(6));
-  ex.runCone(2);
-  EXPECT_TRUE(sameScalar(ex.scalar(dbl), Scalar::i(36)));
-  EXPECT_TRUE(sameScalar(ex.scalar(sum), Scalar::i(3)))
-      << "z's cone must not touch the x+y slot";
-}
-
 // ----- Differential fuzz: concrete tape vs tree Evaluator ------------------
 
 TEST(TapeFuzz, ScalarTapeMatchesTreeEvaluatorBitwise) {
@@ -220,27 +188,25 @@ TEST(TapeFuzz, ScalarTapeMatchesTreeEvaluatorBitwise) {
     };
     checkAll(env, "full");
 
-    // Incremental: mutate one variable at a time, replay only its cone on
-    // the live executor, and require *every* root (not just the obviously
-    // affected ones) to match a fresh tree evaluation — this catches any
-    // instruction missing from a cone.
+    // Rebinding: mutate one variable at a time on the live executor and
+    // re-run; every root must match a fresh tree evaluation.
     for (int m = 0; m < 6; ++m) {
       const auto& v = d.vars[rng.index(d.vars.size())];
       const Scalar nv = randomScalarFor(rng, v);
       env.set(v.id, nv);
       ex.setVar(v.id, nv);
-      ex.runCone(v.id);
-      checkAll(env, "cone");
+      ex.run();
+      checkAll(env, "rebind");
     }
-    // One array-variable cone as well.
+    // One array variable as well.
     std::vector<Scalar> ar;
     for (int i = 0; i < 4; ++i) {
       ar.push_back(Scalar::r(rng.uniformReal(-50.0, 50.0)));
     }
     env.setArray(kRealArrId, ar);
     ex.setArrayVar(kRealArrId, ar);
-    ex.runCone(kRealArrId);
-    checkAll(env, "array-cone");
+    ex.run();
+    checkAll(env, "array-rebind");
   }
 }
 
@@ -362,22 +328,18 @@ TEST(TapeFuzz, DistanceTapeMatchesBranchDistanceBitwise) {
       point[i] = randomCoord(d.vars[i]);
     }
     EXPECT_EQ(dt.rebind(point),
-              solver::branchDistance(goal, toEnv(point), true))
+              testref::branchDistance(goal, toEnv(point), true))
         << "trial " << trial << " initial rebind";
 
-    // The climber's pattern: single-coordinate mutations scored through
-    // the dirty cone. Every cost must equal the full tree walk exactly.
+    // The climber's pattern: single-coordinate moves, each scored by a
+    // rebind of the whole point. Every cost must equal the tree walk.
     for (int m = 0; m < 25; ++m) {
       const std::size_t i = rng.index(d.vars.size());
       point[i] = randomCoord(d.vars[i]);
-      EXPECT_EQ(dt.update(i, point[i]),
-                solver::branchDistance(goal, toEnv(point), true))
+      EXPECT_EQ(dt.rebind(point),
+                testref::branchDistance(goal, toEnv(point), true))
           << "trial " << trial << " move " << m;
     }
-    // And a mid-stream full rebind (restart path).
-    EXPECT_EQ(dt.rebind(point),
-              solver::branchDistance(goal, toEnv(point), true))
-        << "trial " << trial << " restart rebind";
   }
 }
 
@@ -433,26 +395,27 @@ TEST(TapePassFuzz, OptimizedTapeMatchesRawConcreteAndConeExecution) {
     };
     checkAll("full");
 
-    // Incremental cone replay must stay exact on the slot-shared tape —
-    // the property the allocator's cone-coherence restriction protects.
+    // Re-execution after single-variable rebinds must stay exact on the
+    // slot-shared tape: a shared slot's stale value from the previous run
+    // must never be read.
     for (int m = 0; m < 6; ++m) {
       const auto& v = d.vars[rng.index(d.vars.size())];
       const Scalar nv = randomScalarFor(rng, v);
       raw.setVar(v.id, nv);
-      raw.runCone(v.id);
+      raw.run();
       opt.setVar(v.id, nv);
-      opt.runCone(v.id);
-      checkAll("cone");
+      opt.run();
+      checkAll("rebind");
     }
     std::vector<Scalar> ar;
     for (int i = 0; i < 4; ++i) {
       ar.push_back(Scalar::r(rng.uniformReal(-50.0, 50.0)));
     }
     raw.setArrayVar(kRealArrId, ar);
-    raw.runCone(kRealArrId);
+    raw.run();
     opt.setArrayVar(kRealArrId, ar);
-    opt.runCone(kRealArrId);
-    checkAll("array-cone");
+    opt.run();
+    checkAll("array-rebind");
   }
 }
 
@@ -635,31 +598,6 @@ TEST(IntervalTape, BatchVerdictsMatchTreeWalkUnderModelInvariants) {
           << "]";
     }
   }
-}
-
-// ----- LocalSearchSolver: identical search under either engine -------------
-
-TEST(LocalSearchEngines, TapeAndTreeProduceIdenticalResults) {
-  const VarInfo x{201, "x", Type::kReal, -10, 10};
-  const VarInfo y{202, "y", Type::kReal, -10, 10};
-  const auto dx = expr::subE(expr::mkVar(x), expr::cReal(3.0));
-  const auto dy = expr::addE(expr::mkVar(y), expr::cReal(2.0));
-  const auto goal = expr::leE(
-      expr::addE(expr::mulE(dx, dx), expr::mulE(dy, dy)), expr::cReal(0.5));
-
-  solver::SolveOptions so;
-  so.seed = 5;
-  so.timeBudgetMillis = 5000;  // generous: both runs terminate on SAT
-  solver::LocalSearchSolver tapeSolver(so);  // kTape is the default
-  solver::LocalSearchSolver treeSolver(so, solver::LocalSearchSolver::Engine::kTree);
-  const auto ra = tapeSolver.solve(goal, {x, y});
-  const auto rb = treeSolver.solve(goal, {x, y});
-  ASSERT_TRUE(ra.sat());
-  ASSERT_TRUE(rb.sat());
-  EXPECT_EQ(ra.stats.samplesTried, rb.stats.samplesTried)
-      << "bit-identical costs must drive the identical search path";
-  EXPECT_TRUE(sameBits(ra.model.get(x.id).toReal(), rb.model.get(x.id).toReal()));
-  EXPECT_TRUE(sameBits(ra.model.get(y.id).toReal(), rb.model.get(y.id).toReal()));
 }
 
 // ----- End-to-end: StcgGenerator result pinned across sim engines ----------

@@ -8,14 +8,19 @@
 //     the tree Evaluator and every BatchTapeExecutor lane,
 //   - optimizer unit tests: constant folding through the DAG, dead-arm
 //     elimination under a constant kIte condition, algebraic copy
-//     propagation, slot reuse with exact incremental cone replay,
+//     propagation, slot reuse across variable-dependency classes with
+//     every engine (concrete, batch lanes per SIMD level, interval, JIT)
+//     matching the raw tape,
 //   - the acceptance sweep: all eight bench models' sim/interval/distance
 //     tapes verify clean raw and optimized, and the pipeline shrinks the
 //     sim tape on at least four of the eight.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/interval_tape.h"
@@ -25,6 +30,7 @@
 #include "expr/batch_tape.h"
 #include "expr/builder.h"
 #include "expr/eval.h"
+#include "expr/simd.h"
 #include "expr/tape.h"
 #include "expr/tape_passes.h"
 #include "expr/tape_verify.h"
@@ -129,31 +135,20 @@ TEST(TapeVerify, RejectsUndefinedRoot) {
   EXPECT_TRUE(hasKind(res, TapeIssueKind::kRootUndefined)) << res.render();
 }
 
-TEST(TapeVerify, RejectsStaleCone) {
-  Tape t = *cleanTape();
-  TapeRewriter rw(t);
-  ASSERT_FALSE(rw.cones().empty());
-  ASSERT_FALSE(rw.cones()[0].second.empty());
-  rw.cones()[0].second.clear();  // pretend nothing depends on the variable
-  const auto res = expr::verifyTape(t);
-  EXPECT_TRUE(res.hasErrors());
-  EXPECT_TRUE(hasKind(res, TapeIssueKind::kStaleCone)) << res.render();
-}
-
 TEST(TapeVerify, RejectsUnsafeSharing) {
-  const auto x = expr::mkVar({0, "x", Type::kInt, -10, 10});
-  const auto y = expr::mkVar({1, "y", Type::kInt, -10, 10});
+  const auto a = expr::mkVarArray(2, "a", Type::kInt, 3);
+  const auto i = expr::mkVar({0, "i", Type::kInt, 0, 2});
   expr::TapeBuilder b;
-  (void)b.addRoot(expr::addE(x, x));
-  (void)b.addRoot(expr::addE(y, y));
+  (void)b.addRoot(expr::storeE(a, i, expr::cInt(1)));
+  (void)b.addRoot(expr::storeE(a, i, expr::cInt(2)));
   Tape t = *b.finish();
   TapeRewriter rw(t);
   ASSERT_EQ(rw.code().size(), 2u);
-  // Force the y-writer onto the x-writer's slot: the two dependency
-  // cones differ, so cone replay of x alone would observe a stale value.
+  ASSERT_TRUE(rw.code()[0].arrayResult);
+  // Force the second store onto the first one's array slot: executors
+  // alias array operands in place, so an array slot may have one writer.
   rw.code()[1].dst = rw.code()[0].dst;
-  rw.rootSlots()[1] = {rw.code()[0].dst, false};
-  rw.recomputeCones();
+  rw.rootSlots()[1] = {rw.code()[0].dst, true};
   const auto res = expr::verifyTape(t);
   EXPECT_TRUE(res.hasErrors());
   EXPECT_TRUE(hasKind(res, TapeIssueKind::kUnsafeSharing)) << res.render();
@@ -169,7 +164,6 @@ TEST(TapeVerify, WarnsOnCseDuplicate) {
   dup.dst = static_cast<std::int32_t>(t.scalarSlotCount()) - 1;
   rw.code().push_back(dup);
   rw.rootSlots().push_back({dup.dst, false});
-  rw.recomputeCones();
   const auto res = expr::verifyTape(t);
   EXPECT_FALSE(res.hasErrors()) << res.render();
   EXPECT_TRUE(hasKind(res, TapeIssueKind::kCseDuplicate)) << res.render();
@@ -306,37 +300,126 @@ TEST(TapePasses, AlgebraicIdentitiesPropagateTheSource) {
   EXPECT_TRUE(sameScalar(ex.scalar(p.optSlots[0]), Scalar::i(-6)));
 }
 
-TEST(TapePasses, SlotReuseShrinksFrameAndKeepsConeReplayExact) {
+/// Run `p`'s optimized tape on every engine — concrete, batch lanes at the
+/// scalar and the detected SIMD level, interval and (when this
+/// environment can JIT) native — and require each root to match the raw
+/// tape bit for bit. Roots must be scalar int/bool; `points` are (x, y)
+/// values for variables 0 and 1.
+void expectEnginesMatchRaw(
+    const TapePair& p,
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& points) {
+  const auto bindPoint = [](auto& ex, std::int64_t x, std::int64_t y) {
+    ex.setVar(0, Scalar::i(x));
+    ex.setVar(1, Scalar::i(y));
+  };
+  expr::TapeExecutor raw(p.raw), opt(p.optimized);
+  std::vector<std::vector<Scalar>> want;  // [point][root]
+  for (const auto& [x, y] : points) {
+    bindPoint(raw, x, y);
+    bindPoint(opt, x, y);
+    raw.run();
+    opt.run();
+    auto& row = want.emplace_back();
+    for (std::size_t r = 0; r < p.rawSlots.size(); ++r) {
+      row.push_back(raw.scalar(p.rawSlots[r]));
+      EXPECT_TRUE(sameScalar(row.back(), opt.scalar(p.optSlots[r])))
+          << "concrete root " << r << " at (" << x << ", " << y << ")";
+    }
+  }
+
+  std::vector<expr::SimdLevel> levels = {expr::SimdLevel::kScalar};
+  if (expr::detectedSimdLevel() != expr::SimdLevel::kScalar) {
+    levels.push_back(expr::detectedSimdLevel());
+  }
+  const int lanes = static_cast<int>(points.size());
+  for (const expr::SimdLevel lvl : levels) {
+    expr::forceSimdLevel(lvl);
+    expr::BatchTapeExecutor bx(p.optimized, lanes);
+    expr::forceSimdLevel(std::nullopt);
+    ASSERT_EQ(bx.simdLevel(), lvl);
+    for (int l = 0; l < lanes; ++l) {
+      const auto& [x, y] = points[static_cast<std::size_t>(l)];
+      bx.setVar(l, 0, Scalar::i(x));
+      bx.setVar(l, 1, Scalar::i(y));
+    }
+    bx.run();
+    for (int l = 0; l < lanes; ++l) {
+      for (std::size_t r = 0; r < p.optSlots.size(); ++r) {
+        EXPECT_TRUE(sameScalar(want[static_cast<std::size_t>(l)][r],
+                               bx.scalar(p.optSlots[r], l)))
+            << expr::simdLevelName(lvl) << " lane " << l << " root " << r;
+      }
+    }
+  }
+
+  analysis::IntervalTapeExecutor iraw(p.raw), iopt(p.optimized);
+  analysis::IntervalEnv box;
+  box.set(0, interval::Interval(-3, 4));
+  box.set(1, interval::Interval(-2, 5));
+  iraw.bind(box);
+  iopt.bind(box);
+  iraw.run();
+  iopt.run();
+  for (std::size_t r = 0; r < p.rawSlots.size(); ++r) {
+    const interval::Interval& a = iraw.scalar(p.rawSlots[r]);
+    const interval::Interval& b = iopt.scalar(p.optSlots[r]);
+    EXPECT_TRUE(fuzz::sameBits(a.lo(), b.lo()) &&
+                fuzz::sameBits(a.hi(), b.hi()))
+        << "interval root " << r;
+  }
+
+  std::string why;
+  const auto jit = fuzz::makeJitArm(p.optimized, &why);
+  if (jit == nullptr) return;  // no toolchain: the other engines ran
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    bindPoint(*jit, points[k].first, points[k].second);
+    jit->run();
+    for (std::size_t r = 0; r < p.optSlots.size(); ++r) {
+      EXPECT_TRUE(sameScalar(want[k][r], jit->scalar(p.optSlots[r])))
+          << "jit root " << r << " point " << k;
+    }
+  }
+}
+
+const std::vector<std::pair<std::int64_t, std::int64_t>> kSlotPoints = {
+    {3, -2}, {5, -7}, {0, 0}, {-10, 9}, {7, 3}, {-4, -4}};
+
+TEST(TapePasses, SlotReuseShrinksFrameAcrossDependencyClasses) {
   const auto x = expr::mkVar({0, "x", Type::kInt, -10, 10});
   const auto y = expr::mkVar({1, "y", Type::kInt, -10, 10});
-  // A long chain over {x, y}: every link shares one dependency class, so
-  // the linear scan can collapse the dead links onto few physical slots.
+  // A long chain over {x, y}: the linear scan collapses its dead links
+  // onto few physical slots.
   ExprPtr e = expr::addE(x, y);
   for (int i = 0; i < 12; ++i) e = fuzz::clampInt(expr::addE(e, y));
-  const TapePair p = buildTapePair({e});
-  EXPECT_LT(p.optimized->scalarSlotCount(), p.raw->scalarSlotCount());
-  EXPECT_GE(p.stats.slotsReused, 1u);
-  EXPECT_TRUE(expr::verifyTape(*p.optimized).ok());
+  const TapePair joint = buildTapePair({e});
+  EXPECT_LT(joint.optimized->scalarSlotCount(), joint.raw->scalarSlotCount());
+  EXPECT_GE(joint.stats.slotsReused, 1u);
+  EXPECT_TRUE(expr::verifyTape(*joint.optimized).ok());
+  expectEnginesMatchRaw(joint, kSlotPoints);
 
-  expr::TapeExecutor raw(p.raw), opt(p.optimized);
-  Env env;
-  env.set(0, Scalar::i(3));
-  env.set(1, Scalar::i(-2));
-  raw.bindEnv(env);
-  raw.run();
-  opt.bindEnv(env);
-  opt.run();
-  EXPECT_TRUE(sameScalar(raw.scalar(p.rawSlots[0]), opt.scalar(p.optSlots[0])));
-  // Incremental replay on the slot-shared tape must track the raw tape.
-  for (const std::int64_t v : {5LL, -7LL, 0LL, 9LL}) {
-    raw.setVar(1, Scalar::i(v));
-    raw.runCone(1);
-    opt.setVar(1, Scalar::i(v));
-    opt.runCone(1);
-    EXPECT_TRUE(
-        sameScalar(raw.scalar(p.rawSlots[0]), opt.scalar(p.optSlots[0])))
-        << "y = " << v;
-  }
+  // An {x}-only chain, then a {y}-only chain, each with up to four
+  // temporaries live at once: their dead temporaries depend on different
+  // variables, and the y chain reuses the slots the x chain freed. Slot
+  // classes split by variable dependency (what exact per-variable replay
+  // needs) take 14 scalar slots here.
+  const auto chain = [](const ExprPtr& v) {
+    ExprPtr t = expr::addE(v, expr::cInt(1));
+    for (int i = 0; i < 4; ++i) {
+      t = fuzz::clampInt(expr::addE(
+          expr::mulE(expr::addE(t, v), expr::subE(t, v)),
+          expr::mulE(expr::addE(t, expr::cInt(i)), expr::subE(v, t))));
+    }
+    return t;
+  };
+  const ExprPtr ex = chain(x);
+  const ExprPtr ey = chain(y);
+  const TapePair split = buildTapePair({expr::addE(ex, ey)});
+  EXPECT_EQ(split.optimized->scalarSlotCount(), 11u)
+      << split.stats.summary();
+  EXPECT_EQ(split.raw->scalarSlotCount(), 80u);
+  const expr::TapeVerifyResult res = expr::verifyTape(*split.optimized);
+  EXPECT_TRUE(res.ok()) << res.render();
+  expectEnginesMatchRaw(split, kSlotPoints);
 }
 
 // ----- Acceptance sweep: the eight bench models -----------------------------
@@ -359,18 +442,14 @@ TEST(TapePasses, BenchModelTapesVerifyCleanAndMostlyShrink) {
       EXPECT_FALSE(expr::verifyTape(*built.tape).hasErrors()) << info.name;
     }
 
-    std::vector<VarInfo> vars;
-    for (const auto& in : cm.inputs) vars.push_back(in.info);
     for (const auto& br : cm.branches) {
-      try {
-        // Construction self-verifies raw+optimized value tapes in debug
-        // builds / under STCG_TAPE_VERIFY=1.
-        solver::DistanceTape dt(br.pathConstraint, vars);
-        EXPECT_GE(dt.passStats().instrsBefore, dt.passStats().instrsAfter)
-            << info.name;
-      } catch (const expr::EvalError&) {
-        // Non-boolean / array goal: the solver skips it too.
-      }
+      const ExprPtr& goal = br.pathConstraint;
+      if (goal->type != Type::kBool || goal->isArray()) continue;
+      const solver::DistanceTapeBuild built = solver::buildDistanceTape(goal);
+      EXPECT_FALSE(expr::verifyTape(*built.rawTape).hasErrors()) << info.name;
+      EXPECT_FALSE(expr::verifyTape(*built.tape).hasErrors()) << info.name;
+      EXPECT_GE(built.stats.instrsBefore, built.stats.instrsAfter)
+          << info.name;
     }
   }
   EXPECT_GE(shrank, 4) << "pipeline must shrink at least half the models";

@@ -85,12 +85,18 @@ echo "== bench_batch_eval --quick (detected SIMD level) =="
 # against std::mt19937_64, dense-slot HC4 and the node-index substitute
 # against their pointer-map oracles, and HC4's forward pass against the
 # interval evaluator, the tape executor and concrete points
-# (Hc4TransferAgreement, Hc4StoreClamp), all optimized.
+# (Hc4TransferAgreement, Hc4StoreClamp), all optimized. Local search
+# scores every candidate through the batched distance tape on the same
+# lane kernels, so its tests run at both levels too: the solver against
+# the sequential reference climber (LocalSearchReference), the batched
+# scorer against the one-lane DistanceTape (BatchDistance), the
+# early-exit masks and the portfolio dispatcher.
 cmake --build "$bench_dir" -j "$(nproc)" --target stcg_tests
 solver_filter='Solver*:*Certify*:*Memo*:*TrajectoryPin*:*LazyMt*:*Hc4*:*Subst*:OneStepCache.*'
-echo "== solver/memo tests (STCG_SIMD=scalar) =="
+solver_filter+=':LocalSearch*:LocalSearchReference.*:BatchDistance.*:EarlyExitMask.*:Portfolio.*'
+echo "== solver/memo/local-search tests (STCG_SIMD=scalar) =="
 STCG_SIMD=scalar "$bench_dir/tests/stcg_tests" --gtest_filter="$solver_filter"
-echo "== solver/memo tests (detected SIMD level) =="
+echo "== solver/memo/local-search tests (detected SIMD level) =="
 "$bench_dir/tests/stcg_tests" --gtest_filter="$solver_filter"
 # Quick tape-audit smoke in Release too: the producers' own debug-build
 # verification is compiled out here, so the explicit sweep is the gate.

@@ -50,8 +50,8 @@ int usage(const char* argv0) {
       "  <model> is a benchmark name (--list) or an .stcgm file path\n"
       "  --jobs N runs the STCG solve loop on N lanes (0 = all cores);\n"
       "    results are identical for a fixed seed regardless of N\n"
-      "  --batch N sets the lockstep tape lane width for replay expansion,\n"
-      "    suite replay, and local-search scoring (default 8, 1 = scalar);\n"
+      "  --batch N sets the lockstep tape lane width for replay expansion\n"
+      "    and suite replay (default 8, 1 = scalar);\n"
       "    results are identical for a fixed seed regardless of N\n"
       "  --engine selects the simulation engine: tape (default), tree (the\n"
       "    semantic oracle) or jit (native code via the system C compiler;\n"

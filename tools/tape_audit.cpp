@@ -8,8 +8,8 @@
 //      state, switches for branches) goes through the same sweep, so the
 //      verifier sees shapes no hand-written model exercises.
 //   3. random DAGs:   fuzz_dag expression corpora execute raw vs optimized
-//      tapes side by side — full run plus incremental cone replay — and
-//      every root is compared bitwise.
+//      tapes side by side and every root is compared bitwise — the check
+//      on the optimizer's scalar slot reuse.
 //
 // check.sh runs the full sweep inside the ASan/UBSan build and the
 // `--quick` gate inside the Release bench build.
@@ -70,10 +70,9 @@ struct SweepStats {
 
 /// Verify every tape this compiled model can hand an engine: the
 /// simulation ModelTape, the interval tape over the next-state roots, and
-/// one distance tape per branch path constraint (the distance build is
-/// replicated from the DistanceTape constructor so the raw/optimized pair
-/// is verified explicitly even in Release, where the producers' own
-/// maybeRequireVerifiedTape is off).
+/// one distance tape per branch path constraint. Each raw/optimized pair
+/// is verified explicitly, so the sweep also gates Release builds, where
+/// the producers' own maybeRequireVerifiedTape is off.
 void auditCompiledModel(const compile::CompiledModel& cm,
                         const std::string& name, SweepStats& stats) {
   try {
@@ -94,23 +93,13 @@ void auditCompiledModel(const compile::CompiledModel& cm,
     }
 
     for (const auto& br : cm.branches) {
-      try {
-        expr::TapeBuilder b;
-        const solver::DistanceProgram prog =
-            solver::buildDistanceProgram(br.pathConstraint, b);
-        const std::shared_ptr<const expr::Tape> raw = b.finish();
-        verifyClean(*raw, name + " distance:" + br.label + " (raw)");
-        std::vector<expr::SlotRef> extraLive;
-        for (const auto& in : prog.code) {
-          if (in.va >= 0) extraLive.push_back({in.va, false});
-          if (in.vb >= 0) extraLive.push_back({in.vb, false});
-        }
-        const expr::OptimizedTape opt = expr::optimizeTape(raw, extraLive);
-        verifyClean(*opt.tape, name + " distance:" + br.label);
-        ++stats.distanceTapes;
-      } catch (const expr::EvalError&) {
-        // Non-boolean / array goal: the solver would not compile it either.
-      }
+      // Non-boolean / array goal: the solver would not compile it either.
+      const ExprPtr& goal = br.pathConstraint;
+      if (goal->type != Type::kBool || goal->isArray()) continue;
+      const solver::DistanceTapeBuild built = solver::buildDistanceTape(goal);
+      verifyClean(*built.rawTape, name + " distance:" + br.label + " (raw)");
+      verifyClean(*built.tape, name + " distance:" + br.label);
+      ++stats.distanceTapes;
     }
   } catch (const expr::EvalError& e) {
     fail(name + ": tape construction failed: " + std::string(e.what()));
@@ -215,39 +204,24 @@ void fuzzDagTrial(Rng& rng, int trial) {
   opt.bindEnv(env);
   opt.run();
 
-  const auto checkAll = [&](const char* what) {
-    for (std::size_t i = 0; i < roots.size(); ++i) {
-      const std::string at = where + " " + what + " root " +
-                             std::to_string(i);
-      if (roots[i]->isArray()) {
-        const auto& a = raw.array(p.rawSlots[i]);
-        const auto& b = opt.array(p.optSlots[i]);
-        if (a.size() != b.size()) {
-          fail(at + ": array width mismatch");
-          continue;
-        }
-        for (std::size_t j = 0; j < a.size(); ++j) {
-          if (!fuzz::sameScalar(a[j], b[j])) {
-            fail(at + " [" + std::to_string(j) + "]: optimized != raw");
-          }
-        }
-      } else if (!fuzz::sameScalar(raw.scalar(p.rawSlots[i]),
-                                   opt.scalar(p.optSlots[i]))) {
-        fail(at + ": optimized != raw");
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    const std::string at = where + " root " + std::to_string(i);
+    if (roots[i]->isArray()) {
+      const auto& a = raw.array(p.rawSlots[i]);
+      const auto& b = opt.array(p.optSlots[i]);
+      if (a.size() != b.size()) {
+        fail(at + ": array width mismatch");
+        continue;
       }
+      for (std::size_t j = 0; j < a.size(); ++j) {
+        if (!fuzz::sameScalar(a[j], b[j])) {
+          fail(at + " [" + std::to_string(j) + "]: optimized != raw");
+        }
+      }
+    } else if (!fuzz::sameScalar(raw.scalar(p.rawSlots[i]),
+                                 opt.scalar(p.optSlots[i]))) {
+      fail(at + ": optimized != raw");
     }
-  };
-  checkAll("full");
-
-  // Incremental cone replay must stay exact on the slot-shared tape.
-  for (int mut = 0; mut < 4; ++mut) {
-    const auto& v = d.vars[rng.index(d.vars.size())];
-    const Scalar nv = fuzz::randomScalarFor(rng, v);
-    raw.setVar(v.id, nv);
-    raw.runCone(v.id);
-    opt.setVar(v.id, nv);
-    opt.runCone(v.id);
-    checkAll("cone");
   }
 }
 
