@@ -57,9 +57,9 @@ struct Row {
   double stepsTree = 0, stepsTape = 0, stepsJit = 0;
   double candTree = 0, candRebind = 0;
   std::size_t tapeInstrs = 0, overlayInstrs = 0;
-  // Pass-pipeline shrink of the simulation ModelTape (instruction count
-  // and dense scalar slot frame, raw build vs optimized).
-  std::size_t simInstrsRaw = 0, simInstrsOpt = 0;
+  // Slot-reuse shrink of the simulation ModelTape's dense scalar frame
+  // (raw build vs allocated); the instruction count is the same on both.
+  std::size_t simInstrs = 0;
   std::size_t simSlotsRaw = 0, simSlotsOpt = 0;
 
   [[nodiscard]] double stepSpeedup() const {
@@ -71,12 +71,6 @@ struct Row {
   }
   [[nodiscard]] double rebindSpeedup() const {
     return candTree > 0 ? candRebind / candTree : 0;
-  }
-  [[nodiscard]] double instrShrinkPct() const {
-    return simInstrsRaw > 0
-               ? 100.0 * (1.0 - static_cast<double>(simInstrsOpt) /
-                                    static_cast<double>(simInstrsRaw))
-               : 0;
   }
   [[nodiscard]] double slotShrinkPct() const {
     return simSlotsRaw > 0
@@ -199,13 +193,13 @@ void writeJson(const std::string& path, const std::vector<Row>& rows,
         "\"steps_per_sec_jit\": %.0f, \"jit_step_speedup\": %.2f, "
         "\"cand_per_sec_tree\": %.0f, \"cand_per_sec_rebind\": %.0f, "
         "\"tape_instrs\": %zu, \"overlay_instrs\": %zu, "
-        "\"sim_instrs_raw\": %zu, \"sim_instrs_opt\": %zu, "
+        "\"sim_instrs_raw\": %zu, "
         "\"sim_slots_raw\": %zu, \"sim_slots_opt\": %zu, "
-        "\"instr_shrink_pct\": %.1f, \"slot_shrink_pct\": %.1f}%s\n",
+        "\"slot_shrink_pct\": %.1f}%s\n",
         r.name.c_str(), r.stepsTree, r.stepsTape, r.stepSpeedup(),
         r.stepsJit, r.jitStepSpeedup(), r.candTree, r.candRebind,
-        r.tapeInstrs, r.overlayInstrs, r.simInstrsRaw, r.simInstrsOpt,
-        r.simSlotsRaw, r.simSlotsOpt, r.instrShrinkPct(), r.slotShrinkPct(),
+        r.tapeInstrs, r.overlayInstrs, r.simInstrs, r.simSlotsRaw,
+        r.simSlotsOpt, r.slotShrinkPct(),
         i + 1 < rows.size() ? "," : "");
     out << buf;
   }
@@ -258,8 +252,7 @@ int run(int argc, char** argv) {
     row.name = info.name;
 
     const compile::ModelTape mt = compile::buildModelTape(cm);
-    row.simInstrsRaw = mt.passStats.instrsBefore;
-    row.simInstrsOpt = mt.passStats.instrsAfter;
+    row.simInstrs = mt.passStats.instrs;
     row.simSlotsRaw = mt.passStats.scalarSlotsBefore;
     row.simSlotsOpt = mt.passStats.scalarSlotsAfter;
 
@@ -311,12 +304,11 @@ int run(int argc, char** argv) {
                 jitWins, rows.size());
   }
 
-  std::printf("\n%-12s %16s %18s %8s\n", "model", "sim instrs",
+  std::printf("\n%-12s %10s %18s %8s\n", "model", "sim instrs",
               "sim scalar slots", "shrink");
   for (const Row& r : rows) {
-    std::printf("%-12s %8zu -> %5zu %9zu -> %6zu %6.1f%%\n", r.name.c_str(),
-                r.simInstrsRaw, r.simInstrsOpt, r.simSlotsRaw, r.simSlotsOpt,
-                r.slotShrinkPct());
+    std::printf("%-12s %10zu %9zu -> %6zu %6.1f%%\n", r.name.c_str(),
+                r.simInstrs, r.simSlotsRaw, r.simSlotsOpt, r.slotShrinkPct());
   }
 
   if (!jsonPath.empty()) {

@@ -1,7 +1,6 @@
 #include "analysis/interval_tape.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "expr/tape_verify.h"
@@ -13,42 +12,6 @@ using expr::Op;
 using expr::TapeInstr;
 using interval::Interval;
 
-namespace {
-
-bool sameBits(double x, double y) {
-  std::uint64_t bx = 0, by = 0;
-  std::memcpy(&bx, &x, sizeof(bx));
-  std::memcpy(&by, &y, sizeof(by));
-  return bx == by;
-}
-
-}  // namespace
-
-expr::TapePassOptions intervalSafePassOptions() {
-  expr::TapePassOptions opts;
-  opts.intervalSafe = true;
-  opts.foldGuard = [](const TapeInstr& in, const expr::Scalar* a,
-                      const expr::Scalar* b, const expr::Scalar* c,
-                      const expr::Scalar& folded) {
-    if (in.arrayResult || in.op == Op::kSelect || in.op == Op::kStore) {
-      return false;
-    }
-    const auto pt = [](const expr::Scalar* s) {
-      return s != nullptr ? interval::constI(*s) : Interval::empty();
-    };
-    // The fold replaces the instruction's slot with a constant slot; the
-    // executor's constructor images that as point(folded.toReal()). The
-    // fold is exact iff the transfer on the operands' point images lands
-    // on exactly those bits.
-    const Interval got =
-        interval::transferScalar(in.op, in.type, pt(a), pt(b), pt(c));
-    const Interval want = interval::constI(folded);
-    return !got.isEmpty() && sameBits(got.lo(), want.lo()) &&
-           sameBits(got.hi(), want.hi());
-  };
-  return opts;
-}
-
 IntervalTapeBuild buildIntervalTape(const std::vector<expr::ExprPtr>& roots) {
   expr::TapeBuilder b;
   IntervalTapeBuild out;
@@ -56,8 +19,7 @@ IntervalTapeBuild buildIntervalTape(const std::vector<expr::ExprPtr>& roots) {
   for (const auto& r : roots) out.rootSlots.push_back(b.addRoot(r));
   out.rawTape = b.finish();
   expr::maybeRequireVerifiedTape(*out.rawTape, "buildIntervalTape(raw)");
-  expr::OptimizedTape opt =
-      expr::optimizeTape(out.rawTape, {}, intervalSafePassOptions());
+  expr::OptimizedTape opt = expr::optimizeTape(out.rawTape);
   expr::maybeRequireVerifiedTape(*opt.tape, "buildIntervalTape(optimized)");
   out.tape = std::move(opt.tape);
   out.stats = opt.stats;

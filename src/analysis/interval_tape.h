@@ -28,15 +28,10 @@
 
 namespace stcg::analysis {
 
-/// Pass options for tapes consumed by IntervalTapeExecutor: restricts
-/// the pipeline to rewrites exact in the interval domain, with a fold
-/// guard that replays interval::transferScalar on point operands and
-/// compares bits against the folded constant's interval image.
-[[nodiscard]] expr::TapePassOptions intervalSafePassOptions();
-
-/// Build one CSE-shared tape over `roots` and run the interval-safe
-/// pass pipeline on it. `roots[i]`'s slot is `rootSlots[i]` on `tape`;
-/// `rawTape` keeps the unoptimized build as the differential oracle.
+/// Build one CSE-shared tape over `roots` and allocate its slots (the
+/// allocator leaves every instruction as built, so it is exact in the
+/// interval domain too). `roots[i]`'s slot is `rootSlots[i]` on `tape`;
+/// `rawTape` keeps the unallocated build as the differential oracle.
 struct IntervalTapeBuild {
   std::shared_ptr<const expr::Tape> tape;
   std::shared_ptr<const expr::Tape> rawTape;

@@ -63,8 +63,8 @@ StateInvariant computeStateInvariant(const compile::CompiledModel& cm,
   for (const auto& sv : cm.states) domains.push_back(initDomains(sv));
 
   // The fixpoint re-evaluates the same next-state functions dozens of
-  // times: compile them to one CSE-shared, interval-safely optimized
-  // tape up front and rebind the interval environment per iteration.
+  // times: compile them to one CSE-shared, slot-allocated tape up front
+  // and rebind the interval environment per iteration.
   std::vector<expr::ExprPtr> nextRoots;
   nextRoots.reserve(cm.states.size());
   for (const auto& sv : cm.states) nextRoots.push_back(sv.next);

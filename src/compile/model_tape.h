@@ -22,9 +22,9 @@ namespace stcg::compile {
 /// Slot map for one CompiledModel. Indices parallel the model's own
 /// decision/objective/output/state vectors.
 ///
-/// `tape` is the pass-pipeline-optimized tape all engines execute (the
-/// SlotRefs below index it); `rawTape` keeps the unoptimized build as
-/// the differential oracle, and `passStats` reports the shrink.
+/// `tape` is the slot-allocated tape all engines execute (the SlotRefs
+/// below index it); `rawTape` keeps the unallocated build as the
+/// differential oracle, and `passStats` reports the frame shrink.
 struct ModelTape {
   std::shared_ptr<const expr::Tape> tape;
   std::shared_ptr<const expr::Tape> rawTape;

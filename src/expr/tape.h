@@ -124,8 +124,8 @@ class Tape {
   }
 
   /// Slots handed out by TapeBuilder::addRoot, in call order (duplicates
-  /// kept). These are the externally visible reads the optimizer must
-  /// keep live; producers with extra out-of-tape reads (the distance
+  /// kept). These are the externally visible reads the slot allocator
+  /// must keep live; producers with extra out-of-tape reads (the distance
   /// overlay) pass those separately.
   [[nodiscard]] const std::vector<SlotRef>& rootSlots() const {
     return rootSlots_;
@@ -149,9 +149,10 @@ class Tape {
 };
 
 /// Visit each operand slot of `in` as fn(slot, isArray). Shared by the
-/// verifier, the optimizer passes and the executors' analyses.
-template <typename Fn>
-void forEachTapeOperand(const TapeInstr& in, Fn&& fn) {
+/// verifier, the slot allocator and the executors' analyses; on a
+/// mutable `in`, fn may take the slot by reference to rewrite it.
+template <typename Instr, typename Fn>
+void forEachTapeOperand(Instr& in, Fn&& fn) {
   switch (in.op) {
     case Op::kNot:
     case Op::kNeg:

@@ -66,9 +66,10 @@ struct TapeVerifyResult {
 /// slot its compile-time payload type (or "dynamic" for kSelect results
 /// over arrays without a statically uniform element type), per array slot
 /// whether its element type is statically uniform. The verifier checks
-/// tapes against this model; the optimizer uses it to keep rewrites
-/// representation-preserving. Multi-writer slots are well-defined only on
-/// tapes where all writers agree (which the verifier checks).
+/// tapes against this model; the slot allocator keys its free lists by
+/// it, so a shared slot keeps one lane type. Multi-writer slots are
+/// well-defined only on tapes where all writers agree (which the verifier
+/// checks).
 struct TapeStaticTypes {
   std::vector<Type> scalarType;
   std::vector<std::uint8_t> scalarDynamic;  // 1 = per-lane type may vary

@@ -1,13 +1,13 @@
 // Tape-layer lint checks: run the static tape verifier over every tape
 // the engines would execute for this model — the simulation ModelTape,
 // the interval tape over the next-state roots, and one distance tape per
-// branch path constraint — on both the raw build and the pass-pipeline
-// output. Each verifier finding surfaces as a diagnostic under its
-// stable check id (expr::tapeIssueCheckId); a per-family "tape-shrink"
-// note reports the optimizer's instruction/slot reduction.
+// branch path constraint — on both the raw build and the slot-allocated
+// tape. Each verifier finding surfaces as a diagnostic under its stable
+// check id (expr::tapeIssueCheckId); a per-family "tape-shrink" note
+// reports the slot allocator's frame reduction.
 //
 // On a well-formed model every tape verifies clean: an error here means
-// the tape builder or the optimizer violated an engine invariant, not
+// the tape builder or the slot allocator violated an engine invariant, not
 // that the model is wrong — which is exactly why it is worth a lint
 // gate in front of long generation runs.
 

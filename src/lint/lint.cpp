@@ -55,7 +55,7 @@ const std::vector<CheckInfo>& allChecks() {
       {"tape-internal-error", Severity::kError,
        "tape construction or producer-side verification threw"},
       {"tape-shrink", Severity::kNote,
-       "pass-pipeline instruction/slot reduction for one compiled tape"},
+       "slot-reuse frame reduction for one compiled tape"},
   };
   return kChecks;
 }

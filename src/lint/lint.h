@@ -86,7 +86,7 @@ void runCompiledChecks(const compile::CompiledModel& cm,
                        const LintOptions& opt, LintResult& out);
 
 /// Tape-layer checks only: build and statically verify the model's sim,
-/// interval and distance tapes (raw and pass-pipeline-optimized), report
+/// interval and distance tapes (raw and slot-allocated), report
 /// each verifier finding under its stable check id, and emit one
 /// "tape-shrink" note per tape.
 void runTapeChecks(const compile::CompiledModel& cm, DiagnosticSink& sink);

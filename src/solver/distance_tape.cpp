@@ -227,7 +227,7 @@ DistanceTapeBuild buildDistanceTape(const ExprPtr& goal) {
   out.rawTape = b.finish();
   expr::maybeRequireVerifiedTape(*out.rawTape, "buildDistanceTape(raw)");
   // The overlay's va/vb slots are out-of-tape reads: extraLive keeps them
-  // live through DCE and out of the slot allocator's free lists.
+  // out of the slot allocator's free lists.
   std::vector<expr::SlotRef> extra;
   for (const DistanceProgram::Instr& in : out.prog.code) {
     if (in.va >= 0) extra.push_back({in.va, false});

@@ -65,8 +65,8 @@ struct DistanceProgram {
                                                    expr::TapeBuilder& b);
 
 /// One goal's distance build. `prog`'s value reads index `tape`, the
-/// pass-pipeline output (its overlay taps ride through optimizeTape as
-/// extraLive slots); `rawTape` keeps the unoptimized build as the
+/// slot allocator's output (its overlay taps ride through optimizeTape as
+/// extraLive slots); `rawTape` keeps the unallocated build as the
 /// differential oracle.
 struct DistanceTapeBuild {
   std::shared_ptr<const expr::Tape> tape;

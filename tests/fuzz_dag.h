@@ -210,9 +210,9 @@ inline FuzzDag makeFuzzDag(Rng& rng, bool withArrays) {
   return d;
 }
 
-// A raw tape and its pass-pipeline-optimized counterpart over the same
-// roots, with both slot maps — the optimized-vs-raw differential oracle
-// the pass-pipeline fuzz tests execute side by side.
+// A raw tape and its slot-allocated counterpart over the same roots, with
+// both slot maps — the optimized-vs-raw differential oracle the
+// slot-allocator fuzz tests execute side by side.
 struct TapePair {
   std::shared_ptr<const expr::Tape> raw;
   std::shared_ptr<const expr::Tape> optimized;
@@ -221,14 +221,13 @@ struct TapePair {
   expr::TapePassStats stats;
 };
 
-inline TapePair buildTapePair(const std::vector<expr::ExprPtr>& roots,
-                              const expr::TapePassOptions& opts = {}) {
+inline TapePair buildTapePair(const std::vector<expr::ExprPtr>& roots) {
   expr::TapeBuilder b;
   TapePair p;
   p.rawSlots.reserve(roots.size());
   for (const auto& r : roots) p.rawSlots.push_back(b.addRoot(r));
   p.raw = b.finish();
-  expr::OptimizedTape opt = expr::optimizeTape(p.raw, {}, opts);
+  expr::OptimizedTape opt = expr::optimizeTape(p.raw);
   p.optimized = std::move(opt.tape);
   p.stats = opt.stats;
   p.optSlots.reserve(p.rawSlots.size());

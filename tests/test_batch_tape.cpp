@@ -171,7 +171,7 @@ TEST(BatchTapeFuzz, LanesOnOptimizedTapeMatchScalarRawBitwise) {
 
     // Batch lanes execute the optimized tape (slot sharing shrinks the
     // B-wide SoA frame); the oracle is a scalar executor per lane on the
-    // RAW tape, so this differential crosses both the pass pipeline and
+    // RAW tape, so this differential crosses both the slot allocator and
     // the lane kernels at once.
     const fuzz::TapePair p = fuzz::buildTapePair(roots);
     expr::BatchTapeExecutor bx(p.optimized, kLanes);

@@ -5,7 +5,7 @@
 //
 //   - differential fuzz over random expression DAGs (every Op kind,
 //     arrays included): JIT vs interpreter on both the raw and the
-//     pass-pipeline-optimized tape,
+//     slot-allocated tape,
 //   - batch lanes: runBatch vs per-lane scalar interpreter runs,
 //   - Simulator sweep across all eight bench models (outputs, snapshots,
 //     coverage events) under kJit vs kTape,

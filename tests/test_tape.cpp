@@ -343,7 +343,7 @@ TEST(TapeFuzz, DistanceTapeMatchesBranchDistanceBitwise) {
   }
 }
 
-// ----- Differential fuzz: pass-pipeline output vs raw tape -----------------
+// ----- Differential fuzz: slot-allocated tape vs raw tape ------------------
 
 TEST(TapePassFuzz, OptimizedTapeMatchesRawConcreteAndConeExecution) {
   Rng rng(20260807);
@@ -435,8 +435,7 @@ TEST(TapePassFuzz, IntervalSafeOptimizationMatchesRawIntervalExecution) {
     addRootFrom(d.realArrays);
     addRootFrom(d.intArrays);
 
-    const fuzz::TapePair p =
-        fuzz::buildTapePair(roots, analysis::intervalSafePassOptions());
+    const fuzz::TapePair p = fuzz::buildTapePair(roots);
     ASSERT_FALSE(expr::verifyTape(*p.optimized).hasErrors())
         << "trial " << trial;
 

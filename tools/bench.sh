@@ -6,13 +6,18 @@
 #
 # Usage: tools/bench.sh [build-dir] [--repeat N] [-- extra bench args]
 #   --repeat N  measure every cell N times and report the median per row
-#               (forwarded to both binaries; stabilizes the JSON numbers
-#               against noisy-neighbor and frequency-scaling blips)
+#               (default 3; forwarded to both binaries). One 0.25 s window
+#               per cell is not enough on a shared host: a single window
+#               once read TWC's masked B=8 scoring at 4.98 M/s against
+#               8.01-8.37 M/s in the surrounding runs.
+#
+# Both JSON files are stamped with `git describe --always --dirty`, so a
+# table measured on a modified tree says so.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="$repo_root/build-release"
-repeat_args=()
+repeat_args=(--repeat 3)
 if [ $# -gt 0 ] && [ "$1" != "--" ] && [ "$1" != "--repeat" ]; then
   build_dir="$1"
   shift
@@ -37,7 +42,8 @@ cmake --build "$build_dir" -j "$(nproc)" \
 
 # Run metadata pinned into both JSON files (CPU model and SIMD level are
 # detected by the binaries themselves).
-git_sha="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)"
+git_sha="$(git -C "$repo_root" describe --always --dirty 2>/dev/null ||
+  echo unknown)"
 stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 
 echo "== run bench_eval_tape =="

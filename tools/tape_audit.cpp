@@ -3,7 +3,7 @@
 // raw-vs-optimized differential mismatch. Runs in three stages:
 //
 //   1. bench models:  sim / interval / distance tapes of all eight bench
-//      models verify clean, raw and pass-pipeline output alike.
+//      models verify clean, raw and slot-allocated tapes alike.
 //   2. random models: a corpus of randomly wired block models (delays for
 //      state, switches for branches) goes through the same sweep, so the
 //      verifier sees shapes no hand-written model exercises.
@@ -256,7 +256,7 @@ int runAudit(int argc, char** argv) {
   std::printf("bench models: %d audited, %d shrank, %d distance tapes\n",
               bench.models, bench.shrank, bench.distanceTapes);
   if (bench.shrank < 4) {
-    fail("pass pipeline shrank only " + std::to_string(bench.shrank) +
+    fail("slot reuse shrank only " + std::to_string(bench.shrank) +
          "/8 bench models (acceptance floor is 4)");
   }
 
